@@ -3,32 +3,42 @@
 //! A byte-addressable memory pool with an explicit **volatility/persistence
 //! boundary**, standing in for the PMDK-emulated NVM of the paper's testbed.
 //!
-//! The pool keeps two images:
+//! The pool keeps one image plus undo data:
 //!
 //! * the **working image** — what CPU loads/stores and NIC DMA observe; this
 //!   models data sitting anywhere in the volatile domain (CPU caches, PCIe
 //!   buffers, the memory controller's write pending queue);
-//! * the **media image** — what survives a crash.
+//! * a **pre-image** of every dirty 64-byte cache line — its contents when
+//!   it went from clean to dirty, i.e. what the media holds for it.
 //!
-//! A [`write`](PmemPool::write) touches only the working image and marks the
-//! affected 64-byte cache lines *dirty*. [`flush`](PmemPool::flush) (the
-//! CLWB/CLFLUSH analogue) copies dirty lines to media;
-//! [`drain`](PmemPool::drain) is the SFENCE analogue (flushes here are
-//! synchronous, so it only participates in the accounting — but call sites
-//! keep the `flush; drain` discipline of real pmem code).
+//! The **media image** (what survives a crash) is therefore the working
+//! image with every dirty line replaced by its pre-image; it is never
+//! stored in full. A line's pre-image is taken by the first
+//! [`write`](PmemPool::write) that dirties it; an all-zero pre-image (a
+//! fresh log append) costs nothing. [`flush`](PmemPool::flush) (the
+//! CLWB/CLFLUSH analogue) makes dirty lines clean by dropping their
+//! pre-images; [`drain`](PmemPool::drain) is the SFENCE analogue (flushes
+//! here are synchronous, so it only participates in the accounting — but
+//! call sites keep the `flush; drain` discipline of real pmem code).
 //!
 //! [`crash`](PmemPool::crash) models power failure: dirty lines either revert
-//! to media or — under a [`CrashSpec`] with survivors — persist partially, at
-//! **8-byte granularity**, the failure-atomicity unit the paper assumes for
-//! NVM. After a crash the working image equals the media image, exactly like
-//! a reboot.
+//! to their pre-images or — under a [`CrashSpec`] with survivors — persist
+//! partially, at **8-byte granularity**, the failure-atomicity unit the
+//! paper assumes for NVM. It visits only the dirty lines. After a crash the
+//! working image equals the media image, exactly like a reboot.
 //!
-//! All words are `AtomicU64` so the pool is `Sync`; the discrete-event
+//! The working image, the dirty bitmap, the per-line slots and the
+//! pre-image slab all come from `alloc_zeroed`, so the untouched part of a
+//! pool costs no resident memory.
+//!
+//! All words are atomics so the pool is `Sync`; the discrete-event
 //! executor serializes process execution, so `Relaxed` ordering suffices —
 //! the atomics exist for soundness, and to make 8-byte stores indivisible by
 //! construction.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use efactory_obs::{Counter, Registry, Subsystem, Tracer};
@@ -38,6 +48,9 @@ use rand::Rng;
 pub const LINE: usize = 64;
 /// Words (8 B) per cache line.
 const WORDS_PER_LINE: usize = LINE / 8;
+
+/// One cache line's words.
+type LineWords = [u64; WORDS_PER_LINE];
 
 /// How a crash treats dirty (unflushed) cache lines.
 ///
@@ -78,7 +91,7 @@ pub struct PmemStats {
     pub bytes_written: Counter,
     /// `flush` calls.
     pub flushes: Counter,
-    /// Lines copied to media by flushes.
+    /// Dirty lines made durable by flushes.
     pub lines_flushed: Counter,
     /// `drain` calls.
     pub drains: Counter,
@@ -112,29 +125,113 @@ impl PmemStats {
 pub struct PmemPool {
     len: usize,
     working: Box<[AtomicU64]>,
-    media: Box<[AtomicU64]>,
-    /// One bit per cache line: working image diverges from media.
+    /// One bit per cache line: the line holds unflushed data.
     dirty: Box<[AtomicU64]>,
+    /// Per line: where its pre-image lives. `0` means all zeros (and is the
+    /// value of every clean line); `k > 0` means slab entry `k`.
+    slot: Box<[AtomicU32]>,
+    /// Slab of non-zero pre-images, one line's words per entry; entry `k`
+    /// is at `pre[(k - 1) * WORDS_PER_LINE..]`. Room for one entry per
+    /// line, so it never fills, but it is mapped lazily and the free list
+    /// reuses the lowest entries: only as many entries as lines are dirty
+    /// at once ever become resident.
+    pre: Box<[AtomicU64]>,
+    /// Head of the free-entry list (`0`: empty), linked through each free
+    /// entry's first word.
+    free: AtomicU32,
+    /// Entries handed out so far (the slab's high-water mark).
+    top: AtomicU32,
     stats: PmemStats,
     /// Optional tracer for discrete device events (crash injection).
     tracer: Mutex<Option<Tracer>>,
 }
 
-fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
-    (0..n).map(|_| AtomicU64::new(0)).collect()
+/// `n` zero-filled `T`s straight from `alloc_zeroed`, so the OS maps the
+/// pages on first touch and an untouched region costs no resident memory.
+///
+/// # Safety
+///
+/// The all-zero bit pattern must be a valid `T`.
+unsafe fn zeroed_slice<T>(n: usize) -> Box<[T]> {
+    let layout = Layout::array::<T>(n).expect("pmem pool too large");
+    if layout.size() == 0 {
+        return Box::default();
+    }
+    // SAFETY: the layout has a non-zero size; a non-null result is `n`
+    // zeroed `T`s (valid by the caller's contract) allocated by the global
+    // allocator with exactly the layout `Box<[T]>` frees with.
+    unsafe {
+        let ptr = alloc_zeroed(layout).cast::<T>();
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, n))
+    }
+}
+
+/// The dirty-bitmap words covering the non-empty line range `lines`, each
+/// with the mask of its bits inside `lines`.
+#[inline]
+fn bitmap_words(lines: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+    let (first, last) = (lines.start, lines.end - 1);
+    let (fw, lw) = (first / 64, last / 64);
+    (fw..=lw).map(move |w| {
+        let lo = if w == fw { first % 64 } else { 0 };
+        let hi = if w == lw { last % 64 } else { 63 };
+        (w, (!0u64 << lo) & (!0u64 >> (63 - hi)))
+    })
+}
+
+/// Call `f` on the line number of every set bit of bitmap word `w`, in
+/// ascending order.
+#[inline]
+fn for_each_bit(w: usize, mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(w * 64 + bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
+/// Copy out one line's words.
+#[inline]
+fn load_line(words: &[AtomicU64]) -> LineWords {
+    std::array::from_fn(|i| words[i].load(Ordering::Relaxed))
+}
+
+/// The bytes of word `w` inside `[off, end)`, as a mask over the word's
+/// little-endian bytes (zero when the word lies outside).
+#[inline]
+fn byte_mask(w: usize, off: usize, end: usize) -> u64 {
+    let (lo, hi) = (off.clamp(w * 8, w * 8 + 8), end.clamp(w * 8, w * 8 + 8));
+    if lo >= hi {
+        return 0;
+    }
+    (!0u64 >> (64 - 8 * (hi - lo))) << (8 * (lo - w * 8))
 }
 
 impl PmemPool {
     /// Allocate a pool of `len` bytes (rounded up to a whole cache line),
     /// zero-filled and fully persistent (no dirty lines).
     pub fn new(len: usize) -> Self {
-        let len = len.div_ceil(LINE) * LINE;
-        let words = len / 8;
+        let lines = len.div_ceil(LINE);
+        assert!(u32::try_from(lines).is_ok(), "pmem pool too large");
+        // SAFETY: zero is a valid `AtomicU64` and `AtomicU32`.
+        let (working, dirty, slot, pre) = unsafe {
+            (
+                zeroed_slice(lines * WORDS_PER_LINE),
+                zeroed_slice(lines.div_ceil(64)),
+                zeroed_slice(lines),
+                zeroed_slice(lines * WORDS_PER_LINE),
+            )
+        };
         PmemPool {
-            len,
-            working: zeroed_words(words),
-            media: zeroed_words(words),
-            dirty: zeroed_words(len.div_ceil(LINE).div_ceil(64)),
+            len: lines * LINE,
+            working,
+            dirty,
+            slot,
+            pre,
+            free: AtomicU32::new(0),
+            top: AtomicU32::new(0),
             stats: PmemStats::default(),
             tracer: Mutex::new(None),
         }
@@ -170,20 +267,115 @@ impl PmemPool {
         );
     }
 
+    /// The cache lines overlapping `[off, off+len)`; `len` must be non-zero.
+    #[inline]
+    fn lines_of(off: usize, len: usize) -> Range<usize> {
+        off / LINE..(off + len - 1) / LINE + 1
+    }
+
+    /// The words of slab entry `k`.
+    #[inline]
+    fn entry(&self, k: u32) -> &[AtomicU64] {
+        let w0 = (k as usize - 1) * WORDS_PER_LINE;
+        &self.pre[w0..w0 + WORDS_PER_LINE]
+    }
+
+    /// Take a slab entry off the free list, or a fresh one above the
+    /// high-water mark. Plain load/store pairs, not RMWs: the executor
+    /// serializes pool access (see [`for_each_dirty`](Self::for_each_dirty)).
+    #[inline]
+    fn alloc_entry(&self) -> u32 {
+        match self.free.load(Ordering::Relaxed) {
+            0 => {
+                let k = self.top.load(Ordering::Relaxed) + 1;
+                self.top.store(k, Ordering::Relaxed);
+                k
+            }
+            k => {
+                let next = self.entry(k)[0].load(Ordering::Relaxed);
+                self.free.store(next as u32, Ordering::Relaxed);
+                k
+            }
+        }
+    }
+
+    /// The pre-image of dirty `line`.
+    #[inline]
+    fn pre_image(&self, line: usize) -> LineWords {
+        match self.slot[line].load(Ordering::Relaxed) {
+            0 => [0; WORDS_PER_LINE],
+            k => load_line(self.entry(k)),
+        }
+    }
+
+    /// Set the pre-image of dirty `line` to `words`.
+    #[inline]
+    fn set_pre_image(&self, line: usize, words: LineWords) {
+        let k = match self.slot[line].load(Ordering::Relaxed) {
+            0 => self.alloc_entry(),
+            k => k,
+        };
+        for (dst, w) in self.entry(k).iter().zip(words) {
+            dst.store(w, Ordering::Relaxed);
+        }
+        self.slot[line].store(k, Ordering::Relaxed);
+    }
+
+    /// Drop the pre-image of `line`, which is becoming clean.
+    #[inline]
+    fn drop_pre_image(&self, line: usize) {
+        // Load before storing: a store would fault in the page of a slot
+        // array that stays all zeros for freshly written lines.
+        let k = self.slot[line].load(Ordering::Relaxed);
+        if k != 0 {
+            self.slot[line].store(0, Ordering::Relaxed);
+            let head = self.free.load(Ordering::Relaxed);
+            self.entry(k)[0].store(head as u64, Ordering::Relaxed);
+            self.free.store(k, Ordering::Relaxed);
+        }
+    }
+
+    /// Visit the dirty lines in `lines` in ascending order, marking them
+    /// clean first when `clean` is set. One load (and, when cleaning, one
+    /// store) per 64-line tracking word. The load+store pair is not an
+    /// atomic RMW; that is fine because the discrete-event executor
+    /// serializes pool access (the atomics exist for soundness, not for
+    /// concurrency).
+    fn for_each_dirty(&self, lines: Range<usize>, clean: bool, mut f: impl FnMut(usize)) {
+        if lines.is_empty() {
+            return;
+        }
+        for (w, mask) in bitmap_words(lines) {
+            let cur = self.dirty[w].load(Ordering::Relaxed);
+            if clean && cur & mask != 0 {
+                self.dirty[w].store(cur & !mask, Ordering::Relaxed);
+            }
+            for_each_bit(w, cur & mask, &mut f);
+        }
+    }
+
+    /// Mark the lines of `[off, off+len)` dirty, saving the pre-image of
+    /// each one that was clean. Must run *before* the store lands.
     #[inline]
     fn mark_dirty_lines(&self, off: usize, len: usize) {
         if len == 0 {
             return;
         }
-        let first = off / LINE;
-        let last = (off + len - 1) / LINE;
-        // One RMW per 64-line tracking word instead of one per line.
-        let (fw, lw) = (first / 64, last / 64);
-        for w in fw..=lw {
-            let lo = if w == fw { first % 64 } else { 0 };
-            let hi = if w == lw { last % 64 } else { 63 };
-            let mask = (!0u64 << lo) & (!0u64 >> (63 - hi));
-            self.dirty[w].fetch_or(mask, Ordering::Relaxed);
+        // One RMW per 64-line tracking word instead of one per line; its
+        // old value says which lines were clean.
+        for (w, mask) in bitmap_words(Self::lines_of(off, len)) {
+            let fresh = mask & !self.dirty[w].fetch_or(mask, Ordering::Relaxed);
+            for_each_bit(w, fresh, |line| self.save_pre_image(line));
+        }
+    }
+
+    /// Save the pre-image of `line`, which is becoming dirty.
+    #[inline]
+    fn save_pre_image(&self, line: usize) {
+        let w0 = line * WORDS_PER_LINE;
+        let words = load_line(&self.working[w0..w0 + WORDS_PER_LINE]);
+        if words != [0; WORDS_PER_LINE] {
+            self.set_pre_image(line, words);
         }
     }
 
@@ -236,6 +428,7 @@ impl PmemPool {
         self.stats
             .bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.mark_dirty_lines(off, data.len());
         let mut i = 0;
         // Head: partial word.
         while i < data.len() && !(off + i).is_multiple_of(8) {
@@ -254,7 +447,6 @@ impl PmemPool {
             self.write_byte(off + i, data[i]);
             i += 1;
         }
-        self.mark_dirty_lines(off, data.len());
     }
 
     #[inline]
@@ -280,18 +472,21 @@ impl PmemPool {
     pub fn write_u64(&self, off: usize, value: u64) {
         self.check_range(off, 8);
         assert_eq!(off % 8, 0, "write_u64 requires 8-byte alignment");
-        self.working[off / 8].store(value, Ordering::Relaxed);
         self.stats.bytes_written.fetch_add(8, Ordering::Relaxed);
         // An aligned u64 never crosses a cache line.
         let line = off / LINE;
-        self.dirty[line / 64].fetch_or(1 << (line % 64), Ordering::Relaxed);
+        let bit = 1 << (line % 64);
+        if self.dirty[line / 64].fetch_or(bit, Ordering::Relaxed) & bit == 0 {
+            self.save_pre_image(line);
+        }
+        self.working[off / 8].store(value, Ordering::Relaxed);
     }
 
     // -- persistence ---------------------------------------------------------
 
     /// Flush every cache line overlapping `[off, off+len)` to media
     /// (CLWB loop). Lines that are not dirty are skipped. Returns the number
-    /// of lines actually copied, so callers can charge NVM write cost only
+    /// of lines actually flushed, so callers can charge NVM write cost only
     /// for real work (eFactory's "selective durability guarantee").
     pub fn flush(&self, off: usize, len: usize) -> usize {
         if len == 0 {
@@ -299,41 +494,19 @@ impl PmemPool {
         }
         self.check_range(off, len);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        let first = off / LINE;
-        let last = (off + len - 1) / LINE;
-        let mut copied = 0;
-        // Walk the dirty bitmap one 64-line tracking word at a time: one
-        // load (and one store when any line is dirty) per word, then copy
-        // only the set-bit lines. The load+store pair is not an atomic RMW;
-        // that is fine because the discrete-event executor serializes pool
-        // access (the atomics exist for soundness, not for concurrency).
-        let (fw, lw) = (first / 64, last / 64);
-        for w in fw..=lw {
-            let lo = if w == fw { first % 64 } else { 0 };
-            let hi = if w == lw { last % 64 } else { 63 };
-            let range_mask = (!0u64 << lo) & (!0u64 >> (63 - hi));
-            let cur = self.dirty[w].load(Ordering::Relaxed);
-            let mut bits = cur & range_mask;
-            if bits == 0 {
-                continue;
-            }
-            self.dirty[w].store(cur & !range_mask, Ordering::Relaxed);
-            while bits != 0 {
-                let line = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                copied += 1;
-                let w0 = line * WORDS_PER_LINE;
-                for i in w0..w0 + WORDS_PER_LINE {
-                    self.media[i].store(self.working[i].load(Ordering::Relaxed), Ordering::Relaxed);
-                }
-            }
-        }
-        if copied > 0 {
+        let mut flushed = 0;
+        // The working image already holds the bytes: flushing a line only
+        // forgets its pre-image.
+        self.for_each_dirty(Self::lines_of(off, len), true, |line| {
+            flushed += 1;
+            self.drop_pre_image(line);
+        });
+        if flushed > 0 {
             self.stats
                 .lines_flushed
-                .fetch_add(copied as u64, Ordering::Relaxed);
+                .fetch_add(flushed as u64, Ordering::Relaxed);
         }
-        copied
+        flushed
     }
 
     /// Ordering fence (SFENCE analogue). Flushes are synchronous in this
@@ -349,37 +522,39 @@ impl PmemPool {
     }
 
     /// Whether `[off, off+len)` is identical in working and media images —
-    /// i.e. guaranteed to survive a crash with its current contents.
+    /// i.e. guaranteed to survive a crash with its current contents. Clean
+    /// lines are skipped; dirty ones compare word-wise with their
+    /// pre-images.
     pub fn is_persisted(&self, off: usize, len: usize) -> bool {
         if len == 0 {
             return true;
         }
         self.check_range(off, len);
-        for addr in off..off + len {
-            let w = addr / 8;
-            let working = self.working[w].load(Ordering::Relaxed).to_le_bytes()[addr % 8];
-            let media = self.media[w].load(Ordering::Relaxed).to_le_bytes()[addr % 8];
-            if working != media {
-                return false;
+        let end = off + len;
+        let mut persisted = true;
+        self.for_each_dirty(Self::lines_of(off, len), false, |line| {
+            if !persisted {
+                return;
             }
-        }
-        true
+            let w0 = line * WORDS_PER_LINE;
+            persisted = self.pre_image(line).iter().enumerate().all(|(i, &old)| {
+                let diff = self.working[w0 + i].load(Ordering::Relaxed) ^ old;
+                diff & byte_mask(w0 + i, off, end) == 0
+            });
+        });
+        persisted
     }
 
     // -- crash ----------------------------------------------------------------
 
     /// Simulate a power failure + reboot: dirty data survives according to
-    /// `spec`, then the working image is reset to the (new) media image and
-    /// all dirty bits clear.
+    /// `spec`, lost words revert to their pre-images, and all dirty bits
+    /// clear. Dirty lines are visited in ascending order, so the draws from
+    /// `rng` depend only on which lines are dirty.
     pub fn crash<R: Rng>(&self, spec: CrashSpec, rng: &mut R) -> CrashReport {
         self.stats.crashes.fetch_add(1, Ordering::Relaxed);
         let mut report = CrashReport::default();
-        let lines = self.len / LINE;
-        for line in 0..lines {
-            let mask = 1u64 << (line % 64);
-            if self.dirty[line / 64].load(Ordering::Relaxed) & mask == 0 {
-                continue;
-            }
+        self.for_each_dirty(0..self.len / LINE, true, |line| {
             report.dirty_lines += 1;
             let keep_line = match spec {
                 CrashSpec::DropAll => false,
@@ -387,32 +562,25 @@ impl PmemPool {
                 CrashSpec::Lines(p) => rng.gen_bool(p),
                 CrashSpec::Words(_) => true, // decided per word below
             };
-            let w0 = line * WORDS_PER_LINE;
-            for w in w0..w0 + WORDS_PER_LINE {
+            let pre = self.pre_image(line);
+            for (i, &old) in pre.iter().enumerate() {
                 let keep = match spec {
                     CrashSpec::Words(p) => rng.gen_bool(p),
                     _ => keep_line,
                 };
-                let working = self.working[w].load(Ordering::Relaxed);
-                let media = self.media[w].load(Ordering::Relaxed);
-                if working == media {
+                let word = &self.working[line * WORDS_PER_LINE + i];
+                if word.load(Ordering::Relaxed) == old {
                     continue; // clean word inside a dirty line
                 }
                 if keep {
-                    self.media[w].store(working, Ordering::Relaxed);
                     report.words_persisted += 1;
                 } else {
+                    word.store(old, Ordering::Relaxed);
                     report.words_lost += 1;
                 }
             }
-        }
-        // Reboot: working := media, dirty cleared.
-        for w in 0..self.working.len() {
-            self.working[w].store(self.media[w].load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        for d in self.dirty.iter() {
-            d.store(0, Ordering::Relaxed);
-        }
+            self.drop_pre_image(line);
+        });
         if let Some(t) = self.tracer.lock().unwrap().as_ref() {
             t.event_args(
                 Subsystem::Pmem,
@@ -436,22 +604,22 @@ impl PmemPool {
         self.check_range(off, len);
         assert_eq!(off % LINE, 0, "zero_region requires line alignment");
         assert_eq!(len % LINE, 0, "zero_region requires line-sized length");
-        for w in off / 8..(off + len) / 8 {
-            self.working[w].store(0, Ordering::Relaxed);
-            self.media[w].store(0, Ordering::Relaxed);
-        }
-        for line in off / LINE..(off + len) / LINE {
-            self.dirty[line / 64].fetch_and(!(1 << (line % 64)), Ordering::Relaxed);
+        self.for_each_dirty(Self::lines_of(off, len), true, |line| {
+            self.drop_pre_image(line);
+        });
+        for w in &self.working[off / 8..(off + len) / 8] {
+            w.store(0, Ordering::Relaxed);
         }
     }
 
     /// Flip bits in `[off, off+len)` by XOR-ing each byte with `pattern` —
     /// models a latent media error (silent bit-rot). The flip hits **both**
-    /// images: the device returns the rotted bytes now *and* after any
-    /// crash, exactly like real NVM whose cells decayed. Dirty bits are
-    /// untouched, so [`is_persisted`](Self::is_persisted) still reports
-    /// true — the corruption is invisible to the persistence machinery and
-    /// only detectable end-to-end (CRC verification / scrubbing).
+    /// images (the working image and, on dirty lines, the pre-image): the
+    /// device returns the rotted bytes now *and* after any crash, exactly
+    /// like real NVM whose cells decayed. Dirty bits are untouched, so
+    /// [`is_persisted`](Self::is_persisted) still reports true — the
+    /// corruption is invisible to the persistence machinery and only
+    /// detectable end-to-end (CRC verification / scrubbing).
     ///
     /// `pattern` must be non-zero (a zero XOR would corrupt nothing).
     pub fn corrupt_range(&self, off: usize, len: usize, pattern: u8) {
@@ -460,13 +628,19 @@ impl PmemPool {
         }
         assert_ne!(pattern, 0, "corrupt_range needs a non-zero XOR pattern");
         self.check_range(off, len);
-        for i in off..off + len {
-            let word = i / 8;
-            let shift = (i % 8) * 8;
-            let mask = (pattern as u64) << shift;
-            self.working[word].fetch_xor(mask, Ordering::Relaxed);
-            self.media[word].fetch_xor(mask, Ordering::Relaxed);
+        let end = off + len;
+        let rot = u64::from_le_bytes([pattern; 8]);
+        for w in off / 8..end.div_ceil(8) {
+            self.working[w].fetch_xor(rot & byte_mask(w, off, end), Ordering::Relaxed);
         }
+        self.for_each_dirty(Self::lines_of(off, len), false, |line| {
+            let w0 = line * WORDS_PER_LINE;
+            let mut pre = self.pre_image(line);
+            for (i, word) in pre.iter_mut().enumerate() {
+                *word ^= rot & byte_mask(w0 + i, off, end);
+            }
+            self.set_pre_image(line, pre);
+        });
         self.stats.corruptions.add(len as u64);
         if let Some(t) = self.tracer.lock().unwrap().as_ref() {
             t.event_args(
@@ -485,13 +659,17 @@ impl PmemPool {
     }
 
     /// Copy of the media image (what a crash right now would leave behind
-    /// under [`CrashSpec::DropAll`]).
+    /// under [`CrashSpec::DropAll`]): the working image with every dirty
+    /// line replaced by its pre-image.
     pub fn media_snapshot(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len];
-        for (i, chunk) in out.chunks_mut(8).enumerate() {
-            let bytes = self.media[i].load(Ordering::Relaxed).to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
+        let mut out = self.working_snapshot();
+        self.for_each_dirty(0..self.len / LINE, false, |line| {
+            let pre = self.pre_image(line);
+            for (i, word) in pre.iter().enumerate() {
+                let at = line * LINE + i * 8;
+                out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            }
+        });
         out
     }
 }
@@ -780,6 +958,26 @@ mod tests {
         assert_eq!(report.dirty_lines, 2);
         assert_eq!(report.words_persisted, 16);
         assert_eq!(report.words_lost, 0);
+    }
+
+    #[test]
+    fn pre_image_entries_are_reused() {
+        let p = PmemPool::new(4096);
+        p.write(0, &[1u8; 4096]);
+        p.persist(0, 4096);
+        // Every round dirties four lines with non-zero pre-images, then
+        // flushes, crashes or zeroes them away: four entries suffice.
+        for round in 0..30u8 {
+            p.write(1024, &[round; 256]);
+            match round % 3 {
+                0 => p.persist(1024, 256),
+                1 => drop(p.crash(CrashSpec::Words(0.5), &mut rng())),
+                _ => p.zero_region(1024, 256),
+            }
+            p.write(1024, &[1u8; 256]);
+            p.persist(1024, 256);
+        }
+        assert_eq!(p.top.load(Ordering::Relaxed), 4);
     }
 
     mod properties {

@@ -495,9 +495,10 @@ fn chaos_plan_matrix() {
 /// to back through the workload. Mid-clean writes ride out `Busy`
 /// backpressure; the rotted version is quarantined (by the scrubber or the
 /// relocator's CRC check) with fallback to the intact older generation;
-/// the run still converges to the script-dictated state and replays
-/// deterministically. Counter-exactness is asserted by the non-cleaning
-/// lanes — Busy-rejected attempts legitimately bump the server counters.
+/// the run still converges to the script-dictated state, applies every
+/// write exactly once, and replays deterministically. The server counts
+/// only `Ok` PUT/DEL replies, so `Busy`-rejected attempts leave the
+/// counters exact.
 #[test]
 fn cleaning_chaos_lane_converges_with_scrub_and_rot() {
     let seed = 0xC1EA;
@@ -527,6 +528,10 @@ fn cleaning_chaos_lane_converges_with_scrub_and_rot() {
         "rotted key must fall back to the intact older generation"
     );
     assert_eq!(a.final_state, expected, "cleaning+chaos run diverged");
+    // The rot setup preloads two generations of its key: two more PUTs.
+    let (puts, dels) = logical_writes(&scripts);
+    assert_eq!(a.server_puts, puts + 2 + a.put_reissues, "dup PUT: {a:?}");
+    assert_eq!(a.server_dels, dels, "dup DEL: {a:?}");
     let b = run_chaos_lane(seed, Some(plan), lane);
     assert_eq!(a, b, "cleaning chaos lane must replay identically");
 }
