@@ -41,7 +41,7 @@ use crate::hashtable::{find_in_window, fingerprint, BUCKET_LEN, NPROBE};
 use crate::layout::{self, flags, ObjHeader};
 use crate::protocol::{Event, Request, Response, Status, StoreError};
 use crate::server::StoreDesc;
-use crate::txn::{self, SnapOutcome, TxnKv, TxnShard, TxnSnapshot};
+use crate::txn::{SnapOutcome, TxnShard};
 
 /// The uniform client interface the experiment harness drives. All six
 /// systems of the paper's comparison (eFactory and the five baselines)
@@ -222,13 +222,8 @@ pub struct Client {
     loc_miss_ctr: Counter,
     loc_fill_ctr: Counter,
     loc_inval_ctr: Counter,
-    /// Monotonic transaction-id source. Distinct from `next_req_id`: every
-    /// *attempt* of a transaction gets a fresh txn id (a retried commit is
-    /// a new transaction), while the RPCs inside one attempt reuse their
-    /// request ids across fabric retries as usual.
-    next_txn_id: Cell<u64>,
     /// Registry counters for the transactional surface. `pub(crate)` so
-    /// the sharded/replicated wrappers count their own logical commits.
+    /// the routed client counts its own logical commits.
     pub(crate) txn_commit_ctr: Counter,
     pub(crate) txn_conflict_ctr: Counter,
     pub(crate) snap_capture_ctr: Counter,
@@ -337,7 +332,6 @@ impl Client {
             loc_miss_ctr,
             loc_fill_ctr,
             loc_inval_ctr,
-            next_txn_id: Cell::new(1),
             txn_commit_ctr,
             txn_conflict_ctr,
             snap_capture_ctr,
@@ -353,8 +347,8 @@ impl Client {
 
     /// Open the per-op attribution context. `kind`: 0 = GET, 1 = PUT,
     /// 2 = DEL, 3 = TXN, 4 = SNAP (the `critical_path` encoding).
-    /// `pub(crate)` so the sharded/replicated transactional wrappers can
-    /// open one root spanning their multi-shard fan-out.
+    /// `pub(crate)` so the routed client can open one root spanning its
+    /// multi-shard fan-out.
     pub(crate) fn op_root(&self, kind: u64, key: &[u8]) -> OpCtx {
         if current_op() != 0 {
             // Already inside an op (pipelined slot): record execution as a
@@ -376,8 +370,8 @@ impl Client {
     }
 
     /// Sum of every retry counter; deltas across an op give its root
-    /// span's `retries` arg. `pub(crate)` so the pipelined client can
-    /// compute the same delta around a slot execution.
+    /// span's `retries` arg. `pub(crate)` so the routed client can sum it
+    /// across its shard connections.
     pub(crate) fn retry_total(&self) -> u64 {
         self.stats.rpc_retries.get()
             + self.stats.op_retries.get()
@@ -395,7 +389,7 @@ impl Client {
     /// Drain pending server notifications (cleaning state). Cleaning
     /// relocates objects, so both edges flush the location cache — every
     /// cached offset may be stale the moment the cleaner runs.
-    fn poll_events(&self) {
+    pub(crate) fn poll_events(&self) {
         while let Some(ev) = self.qp.try_event() {
             match Event::decode(&ev) {
                 Some(Event::CleanStart) => {
@@ -1125,52 +1119,5 @@ impl TxnShard for Client {
 
     fn shard_get_with_seq(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, u32), StoreError> {
         self.rpc_get_seq(key)
-    }
-}
-
-impl TxnKv for Client {
-    fn txn_put_all(&self, puts: &[(Vec<u8>, Vec<u8>)]) -> Result<u64, StoreError> {
-        self.poll_events();
-        let first = puts.first().map(|(k, _)| k.as_slice()).unwrap_or(b"");
-        let mut ctx = self.op_root(3, first);
-        let retries_before = self.retry_total();
-        let result = txn::put_all_routed(std::slice::from_ref(self), &self.next_txn_id, puts);
-        ctx.set_retries(self.retry_total() - retries_before);
-        if let Ok(ts) = &result {
-            self.txn_commit_ctr.inc();
-            ctx.arg("commit_ts", *ts);
-        }
-        result
-    }
-
-    fn txn_rmw(
-        &self,
-        key: &[u8],
-        f: &mut dyn FnMut(Option<Vec<u8>>) -> Vec<u8>,
-    ) -> Result<u64, StoreError> {
-        self.poll_events();
-        let mut ctx = self.op_root(3, key);
-        let retries_before = self.retry_total();
-        let result = txn::rmw_routed(std::slice::from_ref(self), &self.next_txn_id, key, f);
-        ctx.set_retries(self.retry_total() - retries_before);
-        if let Ok(ts) = &result {
-            self.txn_commit_ctr.inc();
-            ctx.arg("commit_ts", *ts);
-        }
-        result
-    }
-
-    fn snapshot(&self) -> Result<TxnSnapshot, StoreError> {
-        self.poll_events();
-        txn::snapshot_all(std::slice::from_ref(self))
-    }
-
-    fn snap_get(&self, key: &[u8], snap: &TxnSnapshot) -> Result<Option<Vec<u8>>, StoreError> {
-        self.poll_events();
-        let mut ctx = self.op_root(4, key);
-        let retries_before = self.retry_total();
-        let result = txn::snap_get_routed(std::slice::from_ref(self), key, snap);
-        ctx.set_retries(self.retry_total() - retries_before);
-        result
     }
 }

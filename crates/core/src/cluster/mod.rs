@@ -17,8 +17,9 @@
 //!   up through the verifier's delta stream, seal + drain, verify the
 //!   copy byte-identical to the (now frozen) source, and only then flip
 //!   ownership with an epoch bump;
-//! * [`client::ClusterClient`] — clients cache the placement with its
-//!   epoch and retarget transparently on `WrongEpoch` rejections.
+//! * clients ([`crate::route::RoutedClient`] over [`Cluster::desc`]) cache
+//!   the placement with its epoch and retarget transparently on
+//!   `WrongEpoch` rejections.
 //!
 //! # Topology and naming
 //!
@@ -43,12 +44,10 @@
 //! power failure — restart + recovery over the NVM pool — while *planned*
 //! moves use live migration.
 
-pub mod client;
 pub mod meta;
 pub mod migrate;
 pub mod placement;
 
-pub use client::ClusterClient;
 pub use meta::{MetaClient, MetaCmd, MetaService, MetaState, MetaStats, MetaTiming};
 pub use migrate::{MigrateError, MigrationReport};
 pub use placement::{key_shard, PlacementMap};
@@ -67,6 +66,7 @@ use sim::Nanos;
 use crate::log::StoreLayout;
 use crate::recovery::{self, RecoveryReport};
 use crate::repl::ReplStats;
+use crate::route::RouteDesc;
 use crate::server::{Server, ServerConfig, ServerShared, StoreDesc};
 
 /// Tunables for a cluster.
@@ -377,6 +377,16 @@ impl Cluster {
     /// The rendezvous clients connect through.
     pub fn handle(&self) -> &Arc<ClusterHandle> {
         &self.handle
+    }
+
+    /// What clients connect with: the seat table, the metadata service,
+    /// and the counters client retargets land in.
+    pub fn desc(&self) -> RouteDesc {
+        RouteDesc::Cluster {
+            handle: Arc::clone(&self.handle),
+            meta_nodes: self.meta.nodes().to_vec(),
+            stats: Arc::clone(&self.stats),
+        }
     }
 
     /// The metadata replicas' fabric nodes.

@@ -24,6 +24,12 @@
 //!    RPC+RDMA path, where the server persists on demand ("selective
 //!    durability guarantee") before exposing the object.
 //!
+//! Beyond the paper, sharding ([`shard`]), primary–backup replication
+//! ([`repl`]) and multi-node placement ([`cluster`]) only decide *which*
+//! server a key's connection talks to: one [`route::RoutedClient`] holds a
+//! [`Client`] per shard and drives every topology, and the
+//! [`pipeline::PipelinedClient`] runs one routed client per window slot.
+//!
 //! Log cleaning ([`cleaner`]) reclaims stale versions with the paper's
 //! two-stage compress/merge scheme over dual data pools, while serving
 //! requests; [`recovery`] rebuilds a consistent store from the post-crash
@@ -47,6 +53,7 @@ pub mod pipeline;
 pub mod protocol;
 pub mod recovery;
 pub mod repl;
+pub mod route;
 pub mod scrub;
 pub mod server;
 pub mod shard;
@@ -55,13 +62,11 @@ pub mod verifier;
 
 pub use client::{Client, ClientConfig, GetOutcome, RemoteKv};
 pub use cluster::placement::{key_shard, PlacementMap};
-pub use cluster::{Cluster, ClusterClient, ClusterConfig, MigrationReport};
+pub use cluster::{Cluster, ClusterConfig, MigrationReport};
 pub use pipeline::{OpCompletion, OpKind, PipelineConfig, PipelinedClient};
 pub use protocol::{Status, StoreError};
-pub use repl::{
-    ReplClient, ReplShardedClient, ReplStats, ReplTarget, ReplicatedCluster, ReplicatedDesc,
-    ReplicatedServer,
-};
+pub use repl::{ReplStats, ReplTarget, ReplicatedServer};
+pub use route::{RouteDesc, RoutedClient, Seat};
 pub use server::{Server, ServerConfig, ServerStats, StoreDesc};
-pub use shard::{shard_of, ShardedClient, ShardedDesc, ShardedServer};
+pub use shard::{shard_of, ShardedServer};
 pub use txn::{SnapOutcome, TxnKv, TxnShard, TxnSnapshot};

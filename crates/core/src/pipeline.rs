@@ -1,10 +1,11 @@
 //! Pipelined client: a bounded window of K in-flight operations.
 //!
 //! The paper's client-active write scheme keeps the server CPU off the
-//! critical path, but the plain [`Client`] still runs one operation at a
-//! time — a full allocation-RPC round trip per PUT, a bucket-probe RDMA
-//! read per cold GET — so a single client's throughput is capped by latency
-//! rather than by what the fabric or the server can sustain. The
+//! critical path, but the plain [`Client`](crate::Client) still runs one
+//! operation at a time — a full allocation-RPC round trip per PUT, a
+//! bucket-probe RDMA read per cold GET — so a single client's throughput
+//! is capped by latency rather than by what the fabric or the server can
+//! sustain. The
 //! [`PipelinedClient`] lifts that cap the way real RDMA clients do: it
 //! keeps up to `window` operations in flight at once, each on its **own
 //! queue pair** with its own request-id space, and doorbell-batches the
@@ -19,10 +20,13 @@
 //! Interleaving several outstanding ids on one QP would break that
 //! contract — a retry of an older id would be discarded while a newer id
 //! executed, starving the older operation. Giving every pipeline slot a
-//! full [`Client`] (own QP, own monotonic ids, own retry/backoff/
-//! `verify_grace` machinery) composes concurrency with PR 4's retry,
-//! dedup, and lost-update guards *without touching their semantics* — the
-//! server sees `window` perfectly ordinary clients.
+//! full [`RoutedClient`] (own QP per shard, own monotonic ids, own
+//! retry/backoff/`verify_grace` machinery, own failover and placement
+//! state) composes concurrency with the exactly-once retry, dedup, and
+//! lost-update guards *without touching their semantics* — each server
+//! sees `window` perfectly ordinary clients. Because every slot is built
+//! from the same [`RouteDesc`], the window composes with shards, replicas
+//! and cluster nodes.
 //!
 //! ## Per-slot state machine
 //!
@@ -37,7 +41,7 @@
 //! lowest-free-first, all waits are deterministic channel receives).
 //!
 //! `window == 1` bypasses the machinery entirely and executes on a single
-//! inner [`Client`], op for op exactly like today's serial client.
+//! inner [`RoutedClient`], op for op exactly like the serial client.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -47,17 +51,17 @@ use efactory_rnic::{Fabric, Node, SendDoorbell};
 use efactory_sim as sim;
 use efactory_sim::Nanos;
 
-use crate::client::{Client, ClientConfig};
+use crate::client::ClientConfig;
 use crate::hashtable::fingerprint;
 use crate::protocol::{Status, StoreError};
-use crate::server::StoreDesc;
+use crate::route::{RouteDesc, RoutedClient};
 use crate::txn::TxnKv;
 
 /// Pipeline knobs.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Maximum operations in flight (= pipeline slots = QPs). `1` executes
-    /// serially on a single inner [`Client`].
+    /// Maximum operations in flight (= pipeline slots). `1` executes
+    /// serially on a single inner [`RoutedClient`].
     pub window: usize,
     /// Doorbell chain length for client-side send posts (`<= 1`: one MMIO
     /// per post). Only the pipelined path charges send-post CPU; the
@@ -146,10 +150,11 @@ struct SlotDone {
 }
 
 /// A client that keeps up to `window` operations in flight. Not `Sync`:
-/// one pipelined client per simulated process, like the plain [`Client`].
+/// one pipelined client per simulated process, like the plain
+/// [`RoutedClient`].
 pub struct PipelinedClient {
     /// Serial fast path (`window == 1`).
-    sync: Option<Client>,
+    sync: Option<RoutedClient>,
     job_txs: Vec<sim::Sender<Job>>,
     comp_rx: Option<sim::Receiver<SlotDone>>,
     handles: Vec<sim::ProcessHandle>,
@@ -172,15 +177,14 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// Connect a pipelined client: `window` slots, each a full [`Client`]
-    /// on its own QP from `local` to the server. Must run inside a
-    /// simulated process. `name` seeds the slot process names (determinism
-    /// requires stable names).
+    /// Connect a pipelined client: `window` slots, each a full
+    /// [`RoutedClient`] from `local` to the store `desc` describes. Must
+    /// run inside a simulated process. `name` seeds the slot process names
+    /// (determinism requires stable names).
     pub fn connect(
         fabric: &Arc<Fabric>,
         local: &Node,
-        server_node: &Node,
-        desc: StoreDesc,
+        desc: &RouteDesc,
         cfg: PipelineConfig,
         name: &str,
     ) -> Result<PipelinedClient, StoreError> {
@@ -193,7 +197,7 @@ impl PipelinedClient {
         let doorbell_ctr = registry.counter("client.pipeline.doorbells");
         let doorbell = SendDoorbell::new(fabric.cost(), cfg.doorbell_batch);
         if cfg.window == 1 {
-            let sync = Client::connect(fabric, local, server_node, desc, cfg.client.clone())?;
+            let sync = RoutedClient::connect(fabric, local, desc, cfg.client.clone())?;
             return Ok(PipelinedClient {
                 sync: Some(sync),
                 job_txs: Vec::new(),
@@ -222,13 +226,11 @@ impl PipelinedClient {
             let comp_tx = comp_tx.clone();
             let fabric = Arc::clone(fabric);
             let local = local.clone();
-            let server_node = server_node.clone();
+            let desc = desc.clone();
             let client_cfg = cfg.client.clone();
             let tracer = client_cfg.obs.tracer.clone();
-            let shard = client_cfg.shard as u64;
             handles.push(sim::spawn(&format!("{name}-slot{slot}"), move || {
-                let client = match Client::connect(&fabric, &local, &server_node, desc, client_cfg)
-                {
+                let client = match RoutedClient::connect(&fabric, &local, &desc, client_cfg) {
                     Ok(c) => c,
                     Err(e) => panic!("pipeline slot {slot}: connect failed: {e:?}"),
                 };
@@ -265,7 +267,7 @@ impl PipelinedClient {
                                 done_at.saturating_sub(submitted_at),
                                 &[
                                     ("kind", kind_code),
-                                    ("shard", shard),
+                                    ("shard", client.shard_of(&key) as u64),
                                     ("key_fp", fingerprint(&key)),
                                     ("retries", retries),
                                 ],
@@ -532,7 +534,7 @@ impl PipelinedClient {
 /// `NoSpace`/`Busy` rejections with the same bounded backoff the serial
 /// harness loop uses — the stall is part of the operation's latency.
 fn run_op(
-    client: &Client,
+    client: &RoutedClient,
     kind: OpKind,
     key: &[u8],
     value: &[u8],

@@ -34,7 +34,8 @@
 //! rebooted primary would run — and starts serving as a full server.
 //! Clients detect the failure (RPC deadline / one-sided read error),
 //! re-resolve through the shared [`ReplHandle`] (the simulated metadata
-//! service), and reconnect to the promoted store ([`ReplClient`]).
+//! service), and reconnect to the promoted store
+//! ([`crate::route::RoutedClient`], per shard and per RPC).
 //!
 //! # Consistency contract
 //!
@@ -64,10 +65,8 @@
 //! promotion, the same bounded-loss contract as any unverified write.
 
 mod backup;
-mod client;
 mod mirror;
 
-pub use client::{ReplClient, ReplShardedClient};
 pub use mirror::Mirror;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,6 +78,7 @@ use efactory_rnic::{Fabric, Node, RemoteMr};
 use efactory_sim as sim;
 
 use crate::log::StoreLayout;
+use crate::route::Seat;
 use crate::server::{Server, ServerConfig, ServerShared, StoreDesc};
 
 /// Counters exposed by the replication tier (primary-side mirroring,
@@ -171,18 +171,6 @@ impl ReplHandle {
     }
 }
 
-/// Everything a client needs to talk to a replicated store: the primary's
-/// connection info plus the failover handle.
-#[derive(Clone)]
-pub struct ReplicatedDesc {
-    /// The primary's fabric node.
-    pub primary_node: Node,
-    /// The primary's store descriptor.
-    pub desc: StoreDesc,
-    /// Failover rendezvous (shared with the backup).
-    pub handle: Arc<ReplHandle>,
-}
-
 /// A primary [`Server`] plus its backup replica on a second fabric node.
 pub struct ReplicatedServer {
     primary: Server,
@@ -271,12 +259,13 @@ impl ReplicatedServer {
         self.layout
     }
 
-    /// What clients connect with.
-    pub fn desc(&self) -> ReplicatedDesc {
-        ReplicatedDesc {
-            primary_node: self.primary_node.clone(),
+    /// What clients connect with: the primary's seat plus the failover
+    /// handle.
+    pub fn seat(&self) -> Seat {
+        Seat {
+            node: self.primary_node.clone(),
             desc: self.primary.desc(),
-            handle: Arc::clone(&self.handle),
+            failover: Some(Arc::clone(&self.handle)),
         }
     }
 
@@ -327,84 +316,5 @@ impl ReplicatedServer {
         if let Some(p) = self.handle.promoted() {
             p.shared.stop.store(true, Ordering::Relaxed);
         }
-    }
-}
-
-/// N independent [`ReplicatedServer`] shards over one fabric — the
-/// replicated analog of [`crate::shard::ShardedServer`]: same hash router,
-/// same per-shard isolation, plus one backup per shard.
-pub struct ReplicatedCluster {
-    servers: Vec<ReplicatedServer>,
-}
-
-impl ReplicatedCluster {
-    /// Create `shards` replicated shards. Primary nodes are named
-    /// `{name}-shard{i}`, backups `{name}-shard{i}-backup`; counters get a
-    /// `shard{i}.` prefix when `shards > 1` (matching `ShardedServer`).
-    pub fn format(
-        fabric: &Fabric,
-        name: &str,
-        layout: StoreLayout,
-        cfg: ServerConfig,
-        shards: usize,
-    ) -> ReplicatedCluster {
-        assert!(shards >= 1, "a store has at least one shard");
-        let mut servers = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let node = fabric.add_node(&format!("{name}-shard{i}"));
-            let mut scfg = cfg.clone();
-            if shards > 1 {
-                scfg.counter_prefix = format!("{}shard{i}.", cfg.counter_prefix);
-            }
-            servers.push(ReplicatedServer::format(fabric, &node, layout, scfg));
-        }
-        ReplicatedCluster { servers }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Shard `i`'s replicated server.
-    pub fn server(&self, i: usize) -> &ReplicatedServer {
-        &self.servers[i]
-    }
-
-    /// Per-shard connection info for [`ReplShardedClient`].
-    pub fn descs(&self) -> Vec<ReplicatedDesc> {
-        self.servers.iter().map(|s| s.desc()).collect()
-    }
-
-    /// Every shard's primary shared state.
-    pub fn shared_all(&self) -> Vec<&Arc<ServerShared>> {
-        self.servers.iter().map(|s| s.shared()).collect()
-    }
-
-    /// Start every shard (backup applier + mirrored primary).
-    pub fn start(&self, fabric: &Arc<Fabric>) {
-        for s in &self.servers {
-            s.start(fabric);
-        }
-    }
-
-    /// Wind down every shard.
-    pub fn shutdown(&self) {
-        for s in &self.servers {
-            s.shutdown();
-        }
-    }
-
-    /// Sum a primary server counter across shards.
-    pub fn stat_sum(&self, pick: impl Fn(&crate::server::ServerStats) -> &Counter) -> u64 {
-        self.servers
-            .iter()
-            .map(|s| pick(&s.shared().stats).get())
-            .sum()
-    }
-
-    /// Sum a replication counter across shards.
-    pub fn repl_stat_sum(&self, pick: impl Fn(&ReplStats) -> &Counter) -> u64 {
-        self.servers.iter().map(|s| pick(s.stats()).get()).sum()
     }
 }

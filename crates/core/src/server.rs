@@ -544,6 +544,15 @@ impl Server {
         self.desc
     }
 
+    /// This server as a static routing seat (no backup).
+    pub fn seat(&self) -> crate::route::Seat {
+        crate::route::Seat {
+            node: self.shared.node.clone(),
+            desc: self.desc,
+            failover: None,
+        }
+    }
+
     /// Shared state (verifier/cleaner/tests).
     pub fn shared(&self) -> &Arc<ServerShared> {
         &self.shared

@@ -1,5 +1,5 @@
 //! Sharded store: N independent eFactory servers behind a deterministic
-//! client-side router.
+//! client-side router ([`crate::route::RoutedClient`]).
 //!
 //! The key space is partitioned by hash across N **shards**. Each shard is
 //! a complete [`Server`]: its own fabric node (one listener per node), its
@@ -12,242 +12,178 @@
 //!   RDMA-writes the value into that shard's pool;
 //! * each shard's verifier and cleaner run as independent processes.
 //!
+//! A replicated store gives every shard one backup node
+//! ([`crate::repl::ReplicatedServer`]); clients fail over per shard.
+//!
 //! The router is *deterministic and total*: every key maps to exactly one
 //! shard, the same one on every client, every connection, and every run.
 //! Routing hashes a **different** bit mix than the hash table's
-//! [`fingerprint`] — routing on the fingerprint itself would leave each
+//! [`crate::hashtable::fingerprint`] — routing on the fingerprint itself would leave each
 //! shard populating only every N-th bucket home.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use efactory_rnic::{Fabric, Node};
 
-use crate::client::{Client, ClientConfig, GetOutcome, RemoteKv};
 use crate::log::StoreLayout;
-use crate::protocol::StoreError;
-use crate::server::{Server, ServerConfig, ServerShared, StoreDesc};
-use crate::txn::{self, TxnKv, TxnSnapshot};
+use crate::repl::{ReplStats, ReplicatedServer};
+use crate::route::RouteDesc;
+use crate::server::{Server, ServerConfig, ServerShared, ServerStats};
 
 /// Deterministic, total shard routing: `hash(key) % shards`.
 ///
 /// Thin delegate to [`crate::cluster::placement::key_shard`] — the one
 /// routing implementation, shared with the cluster layer's
-/// [`PlacementMap`](crate::cluster::placement::PlacementMap). The legacy
-/// single-node topologies are the degenerate placement (every shard on
-/// node 0), so this wrapper keeps their call sites unchanged.
+/// [`PlacementMap`](crate::cluster::placement::PlacementMap). The
+/// single-machine store is the degenerate placement (every shard on one
+/// machine), so this wrapper keeps its call sites unchanged.
 pub fn shard_of(key: &[u8], shards: usize) -> usize {
     crate::cluster::placement::key_shard(key, shards)
 }
 
-/// The client-side routing table: shard count + per-shard connection info.
-#[derive(Clone)]
-pub struct ShardedDesc {
-    /// One fabric node per shard (clients connect to each).
-    pub nodes: Vec<Node>,
-    /// One store descriptor (MR + geometry) per shard.
-    pub descs: Vec<StoreDesc>,
+/// One shard: a plain server, or a primary with its backup.
+enum Shard {
+    Plain(Server),
+    Replicated(Box<ReplicatedServer>),
 }
 
-impl ShardedDesc {
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.descs.len()
+impl Shard {
+    fn primary(&self) -> &Server {
+        match self {
+            Shard::Plain(s) => s,
+            Shard::Replicated(r) => r.primary(),
+        }
     }
 }
 
-/// N independent [`Server`] shards over one fabric.
+/// N independent shards over one fabric — the single-machine eFactory
+/// store. Each shard is a [`Server`], or a [`ReplicatedServer`] (primary
+/// plus one backup node) when the store is replicated.
 pub struct ShardedServer {
-    servers: Vec<Server>,
-    nodes: Vec<Node>,
+    shards: Vec<Shard>,
 }
 
 impl ShardedServer {
     /// Create `shards` freshly formatted shards, each with its own node
-    /// (named `{name}-shard{i}`) and a full copy of `layout` (per-shard
-    /// geometry; the per-shard fill is what matters for cleaning, so a
-    /// layout sized for the whole workload leaves generous slack under any
-    /// skew). Counter names get a `shard{i}.` prefix when `shards > 1`.
+    /// (named `{name}-shard{i}`; a backup is `{name}-shard{i}-backup`) and
+    /// a full copy of `layout` (per-shard geometry; the per-shard fill is
+    /// what matters for cleaning, so a layout sized for the whole workload
+    /// leaves generous slack under any skew). `replicas` is 0
+    /// (unreplicated) or 1 (one backup per shard). Counter names get a
+    /// `shard{i}.` prefix when `shards > 1`.
     pub fn format(
         fabric: &Fabric,
         name: &str,
         layout: StoreLayout,
         cfg: ServerConfig,
         shards: usize,
+        replicas: usize,
     ) -> ShardedServer {
         assert!(shards >= 1, "a store has at least one shard");
-        let mut servers = Vec::with_capacity(shards);
-        let mut nodes = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let node = fabric.add_node(&format!("{name}-shard{i}"));
-            let mut scfg = cfg.clone();
-            if shards > 1 {
-                scfg.counter_prefix = format!("{}shard{i}.", cfg.counter_prefix);
-            }
-            servers.push(Server::format(fabric, &node, layout, scfg));
-            nodes.push(node);
-        }
-        ShardedServer { servers, nodes }
+        assert!(
+            replicas <= 1,
+            "primary–backup replication supports exactly one backup per shard"
+        );
+        let shards = (0..shards)
+            .map(|i| {
+                let node = fabric.add_node(&format!("{name}-shard{i}"));
+                let mut scfg = cfg.clone();
+                if shards > 1 {
+                    scfg.counter_prefix = format!("{}shard{i}.", cfg.counter_prefix);
+                }
+                if replicas == 0 {
+                    Shard::Plain(Server::format(fabric, &node, layout, scfg))
+                } else {
+                    Shard::Replicated(Box::new(ReplicatedServer::format(
+                        fabric, &node, layout, scfg,
+                    )))
+                }
+            })
+            .collect();
+        ShardedServer { shards }
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.servers.len()
+        self.shards.len()
     }
 
-    /// Shard `i`'s server.
+    /// Shard `i`'s (primary) server.
     pub fn shard(&self, i: usize) -> &Server {
-        &self.servers[i]
+        self.shards[i].primary()
     }
 
-    /// Shard `i`'s fabric node.
-    pub fn node(&self, i: usize) -> &Node {
-        &self.nodes[i]
-    }
-
-    /// Shared state of every shard (verifier drain checks, stats).
-    pub fn shared_all(&self) -> Vec<&Arc<ServerShared>> {
-        self.servers.iter().map(|s| s.shared()).collect()
-    }
-
-    /// The routing table clients connect with.
-    pub fn desc(&self) -> ShardedDesc {
-        ShardedDesc {
-            nodes: self.nodes.clone(),
-            descs: self.servers.iter().map(|s| s.desc()).collect(),
+    /// Shard `i`'s primary and backup, if the store is replicated.
+    pub fn replicated(&self, i: usize) -> Option<&ReplicatedServer> {
+        match &self.shards[i] {
+            Shard::Plain(_) => None,
+            Shard::Replicated(r) => Some(r),
         }
     }
 
-    /// Start every shard's processes. Must run inside a simulated process.
+    /// Shard `i`'s (primary) fabric node.
+    pub fn node(&self, i: usize) -> &Node {
+        &self.shard(i).shared().node
+    }
+
+    /// Shared state of every shard's primary (verifier drain checks,
+    /// stats).
+    pub fn shared_all(&self) -> Vec<&Arc<ServerShared>> {
+        self.shards.iter().map(|s| s.primary().shared()).collect()
+    }
+
+    /// What clients connect with.
+    pub fn desc(&self) -> RouteDesc {
+        RouteDesc::Machine(
+            self.shards
+                .iter()
+                .map(|s| match s {
+                    Shard::Plain(s) => s.seat(),
+                    Shard::Replicated(r) => r.seat(),
+                })
+                .collect(),
+        )
+    }
+
+    /// Start every shard's processes (for a replicated shard, the backup's
+    /// apply loop first). Must run inside a simulated process.
     pub fn start(&self, fabric: &Arc<Fabric>) {
-        for s in &self.servers {
-            s.start(fabric);
+        for s in &self.shards {
+            match s {
+                Shard::Plain(s) => {
+                    s.start(fabric);
+                }
+                Shard::Replicated(r) => {
+                    r.start(fabric);
+                }
+            }
         }
     }
 
     /// Ask every shard's processes to wind down.
     pub fn shutdown(&self) {
-        for s in &self.servers {
-            s.shutdown();
+        for s in &self.shards {
+            match s {
+                Shard::Plain(s) => s.shutdown(),
+                Shard::Replicated(r) => r.shutdown(),
+            }
         }
     }
 
-    /// Sum a counter across shards (pick it from each shard's stats).
-    pub fn stat_sum(
-        &self,
-        pick: impl Fn(&crate::server::ServerStats) -> &efactory_obs::Counter,
-    ) -> u64 {
-        self.servers
+    /// Sum a primary server counter across shards.
+    pub fn stat_sum(&self, pick: impl Fn(&ServerStats) -> &efactory_obs::Counter) -> u64 {
+        self.shards
             .iter()
-            .map(|s| pick(&s.shared().stats).get())
+            .map(|s| pick(&s.primary().shared().stats).get())
             .sum()
     }
-}
 
-/// A client connected to every shard, routing each operation to the owner.
-/// Implements [`RemoteKv`], so harness workloads are shard-agnostic.
-pub struct ShardedClient {
-    clients: Vec<Client>,
-    /// Transaction-id source shared by all shard connections, so one
-    /// logical transaction carries one id across its 2PC participants.
-    next_txn_id: Cell<u64>,
-}
-
-impl ShardedClient {
-    /// Connect `local` to every shard in `desc`. Must run inside a
-    /// simulated process.
-    pub fn connect(
-        fabric: &Arc<Fabric>,
-        local: &Node,
-        desc: &ShardedDesc,
-        cfg: ClientConfig,
-    ) -> Result<ShardedClient, StoreError> {
-        assert!(!desc.descs.is_empty(), "a store has at least one shard");
-        let clients = desc
-            .nodes
-            .iter()
-            .zip(&desc.descs)
-            .enumerate()
-            .map(|(i, (node, d))| {
-                let mut cfg = cfg.clone();
-                cfg.shard = i as u32;
-                Client::connect(fabric, local, node, *d, cfg)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedClient {
-            clients,
-            next_txn_id: Cell::new(1),
-        })
-    }
-
-    /// The client holding `key`'s shard connection.
-    pub fn route(&self, key: &[u8]) -> &Client {
-        &self.clients[shard_of(key, self.clients.len())]
-    }
-
-    /// Store `value` under `key` on the owning shard.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.route(key).put(key, value)
-    }
-
-    /// Read `key` from the owning shard.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.route(key).get(key)
-    }
-
-    /// Like [`get`](Self::get), also reporting which path served the read.
-    pub fn get_traced(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, GetOutcome), StoreError> {
-        self.route(key).get_traced(key)
-    }
-
-    /// Delete `key` (tombstone) on the owning shard.
-    pub fn del(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.route(key).del(key)
-    }
-}
-
-impl RemoteKv for ShardedClient {
-    fn kv_put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.put(key, value)
-    }
-    fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.get(key)
-    }
-}
-
-impl TxnKv for ShardedClient {
-    fn txn_put_all(&self, puts: &[(Vec<u8>, Vec<u8>)]) -> Result<u64, StoreError> {
-        let first = puts.first().map(|(k, _)| k.as_slice()).unwrap_or(b"");
-        let mut ctx = self.clients[0].op_root(3, first);
-        let result = txn::put_all_routed(&self.clients, &self.next_txn_id, puts);
-        if let Ok(ts) = &result {
-            self.clients[0].txn_commit_ctr.inc();
-            ctx.arg("commit_ts", *ts);
-        }
-        result
-    }
-
-    fn txn_rmw(
-        &self,
-        key: &[u8],
-        f: &mut dyn FnMut(Option<Vec<u8>>) -> Vec<u8>,
-    ) -> Result<u64, StoreError> {
-        let mut ctx = self.clients[0].op_root(3, key);
-        let result = txn::rmw_routed(&self.clients, &self.next_txn_id, key, f);
-        if let Ok(ts) = &result {
-            self.clients[0].txn_commit_ctr.inc();
-            ctx.arg("commit_ts", *ts);
-        }
-        result
-    }
-
-    fn snapshot(&self) -> Result<TxnSnapshot, StoreError> {
-        txn::snapshot_all(&self.clients)
-    }
-
-    fn snap_get(&self, key: &[u8], snap: &TxnSnapshot) -> Result<Option<Vec<u8>>, StoreError> {
-        let _ctx = self.clients[0].op_root(4, key);
-        txn::snap_get_routed(&self.clients, key, snap)
+    /// Sum a replication counter across shards (0 when unreplicated).
+    pub fn repl_stat_sum(&self, pick: impl Fn(&ReplStats) -> &efactory_obs::Counter) -> u64 {
+        (0..self.shards())
+            .filter_map(|i| self.replicated(i))
+            .map(|r| pick(r.stats()).get())
+            .sum()
     }
 }
 

@@ -712,9 +712,9 @@ pub enum SnapOutcome {
 }
 
 /// Raw per-shard transactional RPCs. Implemented by [`crate::Client`] and
-/// the failover-aware [`crate::ReplClient`]; the generic multi-shard
-/// drivers below are written against this trait so sharded and replicated
-/// clients share one coordinator.
+/// by each shard of a [`crate::RoutedClient`] (through its seat's failover
+/// policy); the generic multi-shard drivers below are written against this
+/// trait so every topology shares one coordinator.
 pub trait TxnShard {
     /// Fused single-shard commit; returns `(status, commit_ts)`.
     fn shard_txn_commit(
@@ -746,8 +746,9 @@ pub trait TxnShard {
     fn shard_get_with_seq(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, u32), StoreError>;
 }
 
-/// The transactional client surface. Object-safe so the harness can drive
-/// any store through `Box<dyn TxnKv>`.
+/// The transactional client surface, implemented by
+/// [`crate::RoutedClient`] on every topology. Object-safe so callers can
+/// hold it as `&dyn TxnKv`.
 pub trait TxnKv {
     /// Atomically write every `(key, value)` pair (all-or-nothing, exactly
     /// once). Returns the commit timestamp.

@@ -5,11 +5,16 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use efactory::client::{Client, ClientConfig, RemoteKv};
+use efactory::client::{ClientConfig, RemoteKv};
+use efactory::cluster::{Cluster, ClusterConfig};
 use efactory::log::StoreLayout;
 use efactory::pipeline::{OpCompletion, OpKind, PipelineConfig, PipelinedClient};
-use efactory::server::{Server, ServerConfig};
+use efactory::protocol::{Status, StoreError};
+use efactory::route::{RouteDesc, RoutedClient};
+use efactory::server::{ServerConfig, ServerShared, ServerStats, StoreDesc};
+use efactory::shard::ShardedServer;
 use efactory::TxnKv;
+use efactory_baselines::common::BaseServer;
 use efactory_baselines::{
     CaNoperClient, CaNoperServer, ErdaClient, ErdaServer, ForcaClient, ForcaServer, ImmClient,
     ImmServer, RpcClient, RpcServer, SawClient, SawServer,
@@ -112,15 +117,18 @@ pub struct ExperimentSpec {
     pub force_clean: bool,
     /// Shard count (eFactory only; baselines require 1). With more than
     /// one shard the key space is hash-partitioned across independent
-    /// servers, each on its own node with its own verifier and cleaner.
+    /// servers, each on its own node with its own verifier and cleaner;
+    /// one routed client per workload process talks to all of them.
     pub shards: usize,
     /// Doorbell batch length for recv-ring refills and verifier flush
     /// fences (eFactory only; 0 = flat per-message charging).
     pub doorbell_batch: usize,
-    /// Backup replicas per server (eFactory only; 0 = unreplicated, 1 =
+    /// Backup replicas per shard (eFactory only; 0 = unreplicated, 1 =
     /// primary–backup mirroring with one backup node per shard). Composes
-    /// with `Cleaning::Enabled`: the backup indexes mirrored objects by
-    /// content, so relocation is transparent to it.
+    /// with shards, any pipeline window, and `Cleaning::Enabled` (the
+    /// backup indexes mirrored objects by content, so relocation is
+    /// transparent to it). Not combinable with `nodes > 1`: cluster shards
+    /// survive node death by restart + recovery instead.
     pub replicas: usize,
     /// Fault injection: power-fail every shard's primary this many virtual
     /// nanoseconds after the measurement window opens. Requires
@@ -136,11 +144,11 @@ pub struct ExperimentSpec {
     /// (repairs/quarantines bit-rotted objects — see [`efactory::scrub`]).
     pub scrub: bool,
     /// Pipeline window per client: each client keeps up to this many
-    /// operations in flight through [`efactory::PipelinedClient`] (one QP
-    /// per slot, per-key hazards, doorbell-batched send posts). `1` (the
-    /// default) drives the plain serial client, op for op identical to the
-    /// pre-pipeline harness. Values above 1 require eFactory with
-    /// `shards == 1` and `replicas == 0`.
+    /// operations in flight through [`efactory::PipelinedClient`] (one
+    /// routed client per slot, per-key hazards, doorbell-batched send
+    /// posts). `1` (the default) drives the serial routed client. Above 1
+    /// it composes with any shard count, replicas and nodes (eFactory only;
+    /// mixes with snapshot-read ops need `1` — use `snap_readers`).
     pub window: usize,
     /// Enable the client-side location cache (key → object offset), so
     /// repeat GETs skip the bucket-probe RDMA read (eFactory only).
@@ -152,12 +160,12 @@ pub struct ExperimentSpec {
     /// `Cleaning::Enabled` a pool swap expires open snapshots; readers
     /// re-capture on `Status::Expired`.
     pub snap_readers: usize,
-    /// Data nodes hosting the shards. `1` (the default) runs the legacy
-    /// single-machine topologies; above 1 the run builds an
+    /// Data nodes hosting the shards. `1` (the default) runs the
+    /// single-machine store; above 1 the run builds an
     /// [`efactory::cluster::Cluster`] — shards placed round-robin across
-    /// nodes, a 3-replica metadata service, and cluster-aware clients
-    /// that retarget on placement changes. Requires eFactory with
-    /// `replicas == 0` and `window == 1`.
+    /// nodes, a 3-replica metadata service, and clients that retarget on
+    /// placement changes. Composes with any shard count and pipeline window
+    /// (eFactory only; `replicas` must be 0).
     pub nodes: usize,
     /// Live-migrate shard 0 to the next node (`(owner + 1) % nodes`)
     /// this many virtual nanoseconds after the measurement window opens,
@@ -174,12 +182,6 @@ pub struct ExperimentSpec {
 /// Keys per multi-key transaction (and per snapshot read) in the
 /// transactional mixes — the YCSB-T write-set width.
 pub const TXN_KEYS: usize = 4;
-
-/// A workload client that serves both the plain KV surface and the
-/// transactional/snapshot surface. Implemented by every eFactory client
-/// flavor (single, sharded, replicated); baselines have no equivalent.
-pub trait TxnRemote: RemoteKv + TxnKv {}
-impl<T: RemoteKv + TxnKv> TxnRemote for T {}
 
 impl ExperimentSpec {
     /// A paper-flavored spec: 32-byte keys, 4 K records, 8 clients.
@@ -253,27 +255,23 @@ struct Collected {
     end: Nanos,
 }
 
-/// Connection info handed to clients: a single store or a shard set.
+/// Connection info handed to clients.
 #[derive(Clone)]
 enum AnyDesc {
-    Single(efactory::server::StoreDesc),
-    Sharded(efactory::shard::ShardedDesc),
-    Replicated(Vec<efactory::repl::ReplicatedDesc>),
-    Cluster {
-        handle: Arc<efactory::cluster::ClusterHandle>,
-        meta_nodes: Vec<Node>,
-        stats: Arc<efactory::cluster::ClusterStats>,
-    },
+    /// A baseline server: its node and descriptor.
+    Baseline(Node, StoreDesc),
+    /// Any eFactory topology.
+    Ef(RouteDesc),
 }
 
 // One AnyServer exists per run and lives behind an Arc; the size gap from
 // the cluster variant's seat tables is irrelevant.
 #[allow(clippy::large_enum_variant)]
 enum AnyServer {
-    Ef(Server),
-    EfSharded(efactory::shard::ShardedServer),
-    EfRepl(efactory::repl::ReplicatedCluster),
-    EfCluster(efactory::cluster::Cluster),
+    /// Single-machine eFactory store: shards, each optionally replicated.
+    Ef(ShardedServer),
+    /// Multi-node eFactory cluster.
+    EfCluster(Cluster),
     Saw(SawServer),
     Imm(ImmServer),
     Erda(ErdaServer),
@@ -285,30 +283,18 @@ enum AnyServer {
 impl AnyServer {
     fn desc(&self) -> AnyDesc {
         match self {
-            AnyServer::Ef(s) => AnyDesc::Single(s.desc()),
-            AnyServer::EfSharded(s) => AnyDesc::Sharded(s.desc()),
-            AnyServer::EfRepl(s) => AnyDesc::Replicated(s.descs()),
-            AnyServer::EfCluster(c) => AnyDesc::Cluster {
-                handle: Arc::clone(c.handle()),
-                meta_nodes: c.meta_nodes().to_vec(),
-                stats: Arc::clone(c.stats()),
-            },
-            AnyServer::Saw(s) => AnyDesc::Single(s.desc()),
-            AnyServer::Imm(s) => AnyDesc::Single(s.desc()),
-            AnyServer::Erda(s) => AnyDesc::Single(s.desc()),
-            AnyServer::Forca(s) => AnyDesc::Single(s.desc()),
-            AnyServer::CaNoper(s) => AnyDesc::Single(s.desc()),
-            AnyServer::Rpc(s) => AnyDesc::Single(s.desc()),
+            AnyServer::Ef(s) => AnyDesc::Ef(s.desc()),
+            AnyServer::EfCluster(c) => AnyDesc::Ef(c.desc()),
+            other => {
+                let base = other.base();
+                AnyDesc::Baseline(base.node.clone(), base.desc())
+            }
         }
     }
 
     fn start(&self, fabric: &Arc<Fabric>) {
         match self {
-            AnyServer::Ef(s) => {
-                s.start(fabric);
-            }
-            AnyServer::EfSharded(s) => s.start(fabric),
-            AnyServer::EfRepl(s) => s.start(fabric),
+            AnyServer::Ef(s) => s.start(fabric),
             AnyServer::EfCluster(c) => c.start(),
             AnyServer::Saw(s) => s.start(fabric),
             AnyServer::Imm(s) => s.start(fabric),
@@ -322,43 +308,41 @@ impl AnyServer {
     fn shutdown(&self) {
         match self {
             AnyServer::Ef(s) => s.shutdown(),
-            AnyServer::EfSharded(s) => s.shutdown(),
-            AnyServer::EfRepl(s) => s.shutdown(),
             AnyServer::EfCluster(c) => c.shutdown(),
-            AnyServer::Saw(s) => s.shutdown(),
-            AnyServer::Imm(s) => s.shutdown(),
-            AnyServer::Erda(s) => s.shutdown(),
-            AnyServer::Forca(s) => s.shutdown(),
-            AnyServer::CaNoper(s) => s.shutdown(),
-            AnyServer::Rpc(s) => s.shutdown(),
+            other => other.base().shutdown(),
         }
     }
 
-    /// Sum a server counter across shards (a single server is one shard).
-    fn stat_sum(
-        &self,
-        pick: impl Fn(&efactory::server::ServerStats) -> &efactory_obs::Counter,
-    ) -> u64 {
+    /// Sum a server counter across shards (a baseline is one shard).
+    fn stat_sum(&self, pick: impl Fn(&ServerStats) -> &efactory_obs::Counter) -> u64 {
         match self {
-            AnyServer::EfSharded(s) => s.stat_sum(pick),
-            AnyServer::EfRepl(s) => s.stat_sum(pick),
+            AnyServer::Ef(s) => s.stat_sum(pick),
             AnyServer::EfCluster(c) => c.stat_sum(pick),
-            other => pick(other.single_stats()).get(),
+            other => pick(&other.base().stats).get(),
         }
     }
 
-    fn single_stats(&self) -> &efactory::server::ServerStats {
+    /// The shared state of a baseline server.
+    fn base(&self) -> &BaseServer {
         match self {
-            AnyServer::Ef(s) => &s.shared().stats,
-            AnyServer::EfSharded(_) | AnyServer::EfRepl(_) | AnyServer::EfCluster(_) => {
-                unreachable!("multi-server stats go through stat_sum")
+            AnyServer::Ef(_) | AnyServer::EfCluster(_) => {
+                unreachable!("eFactory stores are not baselines")
             }
-            AnyServer::Saw(s) => &s.base().stats,
-            AnyServer::Imm(s) => &s.base().stats,
-            AnyServer::Erda(s) => &s.base().stats,
-            AnyServer::Forca(s) => &s.base().stats,
-            AnyServer::CaNoper(s) => &s.base().stats,
-            AnyServer::Rpc(s) => &s.base().stats,
+            AnyServer::Saw(s) => s.base(),
+            AnyServer::Imm(s) => s.base(),
+            AnyServer::Erda(s) => s.base(),
+            AnyServer::Forca(s) => s.base(),
+            AnyServer::CaNoper(s) => s.base(),
+            AnyServer::Rpc(s) => s.base(),
+        }
+    }
+
+    /// Every eFactory shard's (primary) shared state.
+    fn ef_shared(&self) -> Vec<Arc<ServerShared>> {
+        match self {
+            AnyServer::Ef(s) => s.shared_all().into_iter().map(Arc::clone).collect(),
+            AnyServer::EfCluster(c) => (0..c.config().shards).map(|g| c.shard_shared(g)).collect(),
+            _ => Vec::new(),
         }
     }
 
@@ -368,81 +352,41 @@ impl AnyServer {
     /// through `cfg.obs`; baselines share the same `ServerStats` type and
     /// attach here.
     fn attach_obs(&self, obs: &Obs) {
+        let attach = |pool: &PmemPool, prefix: &str| {
+            pool.stats().register_prefixed(&obs.registry, prefix);
+            pool.set_tracer(obs.tracer.clone());
+        };
         match self {
             AnyServer::Ef(s) => {
-                s.shared().pool.stats().register(&obs.registry);
-                s.shared().pool.set_tracer(obs.tracer.clone());
-            }
-            AnyServer::EfSharded(s) => {
-                for (i, shared) in s.shared_all().into_iter().enumerate() {
-                    let prefix = if s.shards() > 1 {
-                        format!("shard{i}.")
-                    } else {
-                        String::new()
-                    };
-                    shared
-                        .pool
-                        .stats()
-                        .register_prefixed(&obs.registry, &prefix);
-                    shared.pool.set_tracer(obs.tracer.clone());
-                }
-            }
-            AnyServer::EfRepl(s) => {
                 for i in 0..s.shards() {
                     let prefix = if s.shards() > 1 {
                         format!("shard{i}.")
                     } else {
                         String::new()
                     };
-                    let srv = s.server(i);
-                    let primary = &srv.shared().pool;
-                    primary.stats().register_prefixed(&obs.registry, &prefix);
-                    primary.set_tracer(obs.tracer.clone());
-                    let backup = srv.backup_pool();
-                    backup
-                        .stats()
-                        .register_prefixed(&obs.registry, &format!("{prefix}backup."));
-                    backup.set_tracer(obs.tracer.clone());
+                    attach(&s.shard(i).shared().pool, &prefix);
+                    if let Some(r) = s.replicated(i) {
+                        attach(r.backup_pool(), &format!("{prefix}backup."));
+                    }
                 }
             }
             AnyServer::EfCluster(c) => {
-                for g in 0..c.handle().shards() {
-                    let owner = c.owner_of(g);
-                    let pool = c.shard_pool(g);
-                    pool.stats().register_prefixed(
-                        &obs.registry,
-                        &format!("{}.", efactory::cluster::Cluster::seat_name(owner, g)),
-                    );
-                    pool.set_tracer(obs.tracer.clone());
+                for g in 0..c.config().shards {
+                    let prefix = format!("{}.", Cluster::seat_name(c.owner_of(g), g));
+                    attach(&c.shard_pool(g), &prefix);
                 }
             }
             other => {
-                other.single_stats().register(&obs.registry);
-                other.single_pool().stats().register(&obs.registry);
-                other.single_pool().set_tracer(obs.tracer.clone());
+                let base = other.base();
+                base.stats.register(&obs.registry);
+                attach(&base.pool, "");
             }
-        }
-    }
-
-    fn single_pool(&self) -> &Arc<PmemPool> {
-        match self {
-            AnyServer::Ef(s) => &s.shared().pool,
-            AnyServer::EfSharded(_) | AnyServer::EfRepl(_) | AnyServer::EfCluster(_) => {
-                unreachable!("multi-server pools go through attach_obs")
-            }
-            AnyServer::Saw(s) => &s.base().pool,
-            AnyServer::Imm(s) => &s.base().pool,
-            AnyServer::Erda(s) => &s.base().pool,
-            AnyServer::Forca(s) => &s.base().pool,
-            AnyServer::CaNoper(s) => &s.base().pool,
-            AnyServer::Rpc(s) => &s.base().pool,
         }
     }
 }
 
 fn build_server(
     fabric: &Arc<Fabric>,
-    node: &Node,
     spec: &ExperimentSpec,
     obs: &Obs,
     cfg_tweak: Option<&(dyn Fn(&mut ServerConfig) + Send + Sync)>,
@@ -459,12 +403,6 @@ fn build_server(
     let total_puts = ((spec.clients * spec.ops_per_client) as f64 * write_frac * puts_per_write)
         .ceil() as usize
         + 16;
-    if spec.mix.transactional() || spec.snap_readers > 0 {
-        assert!(
-            matches!(spec.system, SystemKind::EFactory | SystemKind::EFactoryNoHr),
-            "transactional/snapshot workloads require eFactory"
-        );
-    }
     let sized = StoreLayout::for_workload(
         spec.record_count as usize,
         total_puts,
@@ -473,287 +411,205 @@ fn build_server(
         1.3,
         false,
     );
+    if !is_efactory(spec.system) {
+        let node = fabric.add_node("server");
+        return match spec.system {
+            SystemKind::EFactory | SystemKind::EFactoryNoHr => unreachable!(),
+            SystemKind::Saw => AnyServer::Saw(SawServer::format(fabric, &node, sized)),
+            SystemKind::Imm => AnyServer::Imm(ImmServer::format(fabric, &node, sized)),
+            SystemKind::Erda => AnyServer::Erda(ErdaServer::format(fabric, &node, sized)),
+            SystemKind::Forca => AnyServer::Forca(ForcaServer::format(fabric, &node, sized)),
+            SystemKind::CaNoper => AnyServer::CaNoper(CaNoperServer::format(fabric, &node, sized)),
+            SystemKind::Rpc => AnyServer::Rpc(RpcServer::format(fabric, &node, sized)),
+        };
+    }
+    let (layout, mut cfg) = match spec.cleaning {
+        Cleaning::Disabled => (
+            sized,
+            ServerConfig {
+                clean_enabled: false,
+                ..ServerConfig::default()
+            },
+        ),
+        Cleaning::Enabled {
+            threshold,
+            pool_len,
+        } => (
+            StoreLayout::new((spec.record_count as usize * 4).max(1024), pool_len, true),
+            ServerConfig {
+                clean_enabled: true,
+                clean_threshold: threshold,
+                ..ServerConfig::default()
+            },
+        ),
+    };
+    cfg.obs = obs.clone();
+    cfg.doorbell_batch = spec.doorbell_batch;
+    cfg.scrub_enabled = spec.scrub;
+    if let Some(tweak) = cfg_tweak {
+        tweak(&mut cfg);
+    }
+    if spec.nodes > 1 {
+        let ccfg = ClusterConfig::new(spec.nodes, spec.shards, layout, cfg);
+        return AnyServer::EfCluster(Cluster::format(fabric, ccfg));
+    }
+    // Each shard keeps the full-workload layout: the router spreads keys,
+    // but Zipf skew makes the hottest shard's share unpredictable, and
+    // simulated bytes are cheap.
+    AnyServer::Ef(ShardedServer::format(
+        fabric,
+        "server",
+        layout,
+        cfg,
+        spec.shards,
+        spec.replicas,
+    ))
+}
+
+fn is_efactory(system: SystemKind) -> bool {
+    matches!(system, SystemKind::EFactory | SystemKind::EFactoryNoHr)
+}
+
+/// Reject every combination the harness cannot run, up front, with one
+/// message each.
+fn check_supported(spec: &ExperimentSpec) {
+    let system = spec.system;
+    if !is_efactory(system) {
+        assert_eq!(spec.shards, 1, "{system:?} does not support sharding");
+        assert_eq!(spec.nodes, 1, "{system:?} does not support multi-node");
+        assert_eq!(spec.replicas, 0, "{system:?} does not support replication");
+        assert_eq!(
+            spec.window, 1,
+            "{system:?} does not support a pipelined client"
+        );
+        assert!(
+            !spec.mix.transactional() && spec.snap_readers == 0,
+            "transactional/snapshot workloads require eFactory"
+        );
+    }
     assert!(spec.shards >= 1, "a store has at least one shard");
-    match spec.system {
-        SystemKind::EFactory | SystemKind::EFactoryNoHr => {
-            let (layout, mut cfg) = match spec.cleaning {
-                Cleaning::Disabled => (
-                    sized,
-                    ServerConfig {
-                        clean_enabled: false,
-                        ..ServerConfig::default()
-                    },
-                ),
-                Cleaning::Enabled {
-                    threshold,
-                    pool_len,
-                } => (
-                    StoreLayout::new((spec.record_count as usize * 4).max(1024), pool_len, true),
-                    ServerConfig {
-                        clean_enabled: true,
-                        clean_threshold: threshold,
-                        ..ServerConfig::default()
-                    },
-                ),
-            };
-            cfg.obs = obs.clone();
-            cfg.doorbell_batch = spec.doorbell_batch;
-            cfg.scrub_enabled = spec.scrub;
-            if let Some(tweak) = cfg_tweak {
-                tweak(&mut cfg);
-            }
-            if spec.replicas > 0 {
-                assert_eq!(
-                    spec.replicas, 1,
-                    "primary–backup replication supports exactly one backup per shard"
-                );
-                return AnyServer::EfRepl(efactory::repl::ReplicatedCluster::format(
-                    fabric,
-                    "server",
-                    layout,
-                    cfg,
-                    spec.shards,
-                ));
-            }
-            if spec.nodes > 1 {
-                assert_eq!(spec.window, 1, "multi-node runs use the serial client");
-                // The fabric the cluster lives on is the caller's; the
-                // `node` arg ("server") stays unused in this topology.
-                let ccfg =
-                    efactory::cluster::ClusterConfig::new(spec.nodes, spec.shards, layout, cfg);
-                return AnyServer::EfCluster(efactory::cluster::Cluster::format(fabric, ccfg));
-            }
-            if spec.shards > 1 {
-                // Each shard keeps the full-workload layout: the router
-                // spreads keys, but Zipf skew makes the hottest shard's
-                // share unpredictable, and simulated bytes are cheap.
-                AnyServer::EfSharded(efactory::shard::ShardedServer::format(
-                    fabric,
-                    "server",
-                    layout,
-                    cfg,
-                    spec.shards,
-                ))
-            } else {
-                AnyServer::Ef(Server::format(fabric, node, layout, cfg))
-            }
+    assert!(spec.nodes >= 1, "a store runs on at least one node");
+    assert!(spec.window >= 1, "pipeline window must be at least 1");
+    assert!(
+        spec.replicas <= 1,
+        "primary–backup replication supports exactly one backup per shard"
+    );
+    assert!(
+        spec.replicas == 0 || spec.nodes == 1,
+        "replicas > 0 with nodes > 1 is not supported: cluster shards have no backups"
+    );
+    assert!(
+        spec.fault_at.is_none() || spec.replicas > 0,
+        "fault_at requires replicas > 0"
+    );
+    assert!(
+        spec.migrate_at.is_none() || spec.nodes > 1,
+        "migrate_at requires nodes > 1"
+    );
+    assert!(
+        spec.window == 1 || spec.mix.snap_fraction() == 0.0,
+        "the pipelined driver has no snapshot-read lane; use spec.snap_readers"
+    );
+}
+
+/// A connected workload client.
+enum Conn {
+    /// A baseline's plain KV client.
+    Baseline(Box<dyn RemoteKv>),
+    /// The serial eFactory client, on any topology.
+    Ef(RoutedClient),
+    /// `window > 1`: up to `window` eFactory operations in flight.
+    Pipelined(Box<PipelinedClient>),
+}
+
+impl Conn {
+    fn kv(&self) -> &dyn RemoteKv {
+        match self {
+            Conn::Baseline(c) => &**c,
+            Conn::Ef(c) => c,
+            Conn::Pipelined(_) => unreachable!("pipelined clients run through run_pipelined"),
         }
-        other => {
-            assert_eq!(spec.shards, 1, "{other:?} does not support sharding");
-            assert_eq!(spec.nodes, 1, "{other:?} does not support multi-node");
-            build_baseline(fabric, node, other, sized)
+    }
+
+    fn txn(&self) -> &dyn TxnKv {
+        match self {
+            Conn::Ef(c) => c,
+            _ => unreachable!("check_supported admits transactional ops on eFactory only"),
         }
     }
 }
 
-fn build_baseline(fabric: &Fabric, node: &Node, kind: SystemKind, sized: StoreLayout) -> AnyServer {
-    match kind {
-        SystemKind::EFactory | SystemKind::EFactoryNoHr => unreachable!(),
-        SystemKind::Saw => AnyServer::Saw(SawServer::format(fabric, node, sized)),
-        SystemKind::Imm => AnyServer::Imm(ImmServer::format(fabric, node, sized)),
-        SystemKind::Erda => AnyServer::Erda(ErdaServer::format(fabric, node, sized)),
-        SystemKind::Forca => AnyServer::Forca(ForcaServer::format(fabric, node, sized)),
-        SystemKind::CaNoper => AnyServer::CaNoper(CaNoperServer::format(fabric, node, sized)),
-        SystemKind::Rpc => AnyServer::Rpc(RpcServer::format(fabric, node, sized)),
-    }
-}
-
-/// Connect a workload client for `kind`. Fallible — any transport error
-/// propagates so the caller can say *which* system failed to connect
-/// instead of panicking with a bare `expect("connect")` at each site.
-fn connect_client(
-    kind: SystemKind,
+/// Connect a workload client from `local`: a baseline's own client, or an
+/// eFactory client over any topology — pipelined when `window > 1`. Any
+/// transport error panics naming the system that failed to connect.
+fn connect(
+    spec: &ExperimentSpec,
     fabric: &Arc<Fabric>,
     local: &Node,
-    server_node: &Node,
-    any_desc: &AnyDesc,
+    desc: &AnyDesc,
     obs: &Obs,
-    loc_cache: bool,
-) -> Result<Box<dyn RemoteKv>, efactory::StoreError> {
-    let ef_cfg = |hybrid_read: bool| ClientConfig {
-        hybrid_read,
-        loc_cache,
-        obs: obs.clone(),
-        ..ClientConfig::default()
-    };
-    let ef_hybrid = |kind: SystemKind| match kind {
-        SystemKind::EFactory => true,
-        SystemKind::EFactoryNoHr => false,
-        other => panic!("{other:?} supports neither sharding nor replication"),
-    };
-    match any_desc {
-        AnyDesc::Sharded(sharded) => {
-            let c = efactory::shard::ShardedClient::connect(
-                fabric,
-                local,
-                sharded,
-                ef_cfg(ef_hybrid(kind)),
-            )?;
-            Ok(Box::new(c))
-        }
-        AnyDesc::Replicated(descs) => {
-            let c = efactory::repl::ReplShardedClient::connect(
-                fabric,
-                local,
-                descs,
-                ef_cfg(ef_hybrid(kind)),
-            )?;
-            Ok(Box::new(c))
-        }
-        AnyDesc::Cluster {
-            handle,
-            meta_nodes,
-            stats,
-        } => {
-            let c = efactory::cluster::ClusterClient::connect(
-                fabric,
-                local,
-                meta_nodes,
-                handle,
-                stats,
-                ef_cfg(ef_hybrid(kind)),
-            )?;
-            Ok(Box::new(c))
-        }
-        AnyDesc::Single(desc) => {
-            let desc = *desc;
-            Ok(match kind {
-                SystemKind::EFactory => Box::new(Client::connect(
-                    fabric,
-                    local,
-                    server_node,
-                    desc,
-                    ef_cfg(true),
-                )?),
-                SystemKind::EFactoryNoHr => Box::new(Client::connect(
-                    fabric,
-                    local,
-                    server_node,
-                    desc,
-                    ef_cfg(false),
-                )?),
-                SystemKind::Saw => Box::new(SawClient::connect(fabric, local, server_node, desc)?),
-                SystemKind::Imm => Box::new(ImmClient::connect(fabric, local, server_node, desc)?),
-                SystemKind::Erda => {
-                    Box::new(ErdaClient::connect(fabric, local, server_node, desc)?)
+    window: usize,
+    name: &str,
+) -> Conn {
+    let connected =
+        match desc {
+            AnyDesc::Baseline(node, d) => {
+                let (node, d) = (node, *d);
+                match spec.system {
+                    SystemKind::EFactory | SystemKind::EFactoryNoHr => unreachable!(),
+                    SystemKind::Saw => SawClient::connect(fabric, local, node, d)
+                        .map(|c| Conn::Baseline(Box::new(c))),
+                    SystemKind::Imm => ImmClient::connect(fabric, local, node, d)
+                        .map(|c| Conn::Baseline(Box::new(c))),
+                    SystemKind::Erda => ErdaClient::connect(fabric, local, node, d)
+                        .map(|c| Conn::Baseline(Box::new(c))),
+                    SystemKind::Forca => ForcaClient::connect(fabric, local, node, d)
+                        .map(|c| Conn::Baseline(Box::new(c))),
+                    SystemKind::CaNoper => CaNoperClient::connect(fabric, local, node, d)
+                        .map(|c| Conn::Baseline(Box::new(c))),
+                    SystemKind::Rpc => RpcClient::connect(fabric, local, node, d)
+                        .map(|c| Conn::Baseline(Box::new(c))),
                 }
-                SystemKind::Forca => {
-                    Box::new(ForcaClient::connect(fabric, local, server_node, desc)?)
+            }
+            AnyDesc::Ef(route) => {
+                let cfg = ClientConfig {
+                    hybrid_read: spec.system == SystemKind::EFactory,
+                    loc_cache: spec.loc_cache,
+                    obs: obs.clone(),
+                    ..ClientConfig::default()
+                };
+                if window > 1 {
+                    let pcfg = PipelineConfig {
+                        window,
+                        doorbell_batch: spec.doorbell_batch,
+                        client: cfg,
+                    };
+                    PipelinedClient::connect(fabric, local, route, pcfg, name)
+                        .map(|pc| Conn::Pipelined(Box::new(pc)))
+                } else {
+                    RoutedClient::connect(fabric, local, route, cfg).map(Conn::Ef)
                 }
-                SystemKind::CaNoper => {
-                    Box::new(CaNoperClient::connect(fabric, local, server_node, desc)?)
-                }
-                SystemKind::Rpc => Box::new(RpcClient::connect(fabric, local, server_node, desc)?),
-            })
-        }
-    }
-}
-
-fn make_client(
-    kind: SystemKind,
-    fabric: &Arc<Fabric>,
-    local: &Node,
-    server_node: &Node,
-    any_desc: &AnyDesc,
-    obs: &Obs,
-    loc_cache: bool,
-) -> Box<dyn RemoteKv> {
-    connect_client(kind, fabric, local, server_node, any_desc, obs, loc_cache)
-        .unwrap_or_else(|e| panic!("{}: client connect failed: {e}", kind.label()))
-}
-
-/// Connect a transactional workload client (plain KV **and** `TxnKv`
-/// surfaces). Only the eFactory flavors qualify; baselines panic.
-fn make_txn_client(
-    kind: SystemKind,
-    fabric: &Arc<Fabric>,
-    local: &Node,
-    server_node: &Node,
-    any_desc: &AnyDesc,
-    obs: &Obs,
-    loc_cache: bool,
-) -> Box<dyn TxnRemote> {
-    let cfg = ClientConfig {
-        hybrid_read: match kind {
-            SystemKind::EFactory => true,
-            SystemKind::EFactoryNoHr => false,
-            other => panic!("{other:?} has no transactional client"),
-        },
-        loc_cache,
-        obs: obs.clone(),
-        ..ClientConfig::default()
-    };
-    let connected: Result<Box<dyn TxnRemote>, efactory::StoreError> = match any_desc {
-        AnyDesc::Single(desc) => Client::connect(fabric, local, server_node, *desc, cfg)
-            .map(|c| Box::new(c) as Box<dyn TxnRemote>),
-        AnyDesc::Sharded(sharded) => {
-            efactory::shard::ShardedClient::connect(fabric, local, sharded, cfg)
-                .map(|c| Box::new(c) as Box<dyn TxnRemote>)
-        }
-        AnyDesc::Replicated(descs) => {
-            efactory::repl::ReplShardedClient::connect(fabric, local, descs, cfg)
-                .map(|c| Box::new(c) as Box<dyn TxnRemote>)
-        }
-        AnyDesc::Cluster {
-            handle,
-            meta_nodes,
-            stats,
-        } => {
-            efactory::cluster::ClusterClient::connect(fabric, local, meta_nodes, handle, stats, cfg)
-                .map(|c| Box::new(c) as Box<dyn TxnRemote>)
-        }
-    };
-    connected.unwrap_or_else(|e| panic!("{}: txn client connect failed: {e}", kind.label()))
+            }
+        };
+    connected.unwrap_or_else(|e| panic!("{}: client connect failed: {e}", spec.system.label()))
 }
 
 /// Drive one client's workload through a [`PipelinedClient`]
-/// (`spec.window > 1`). Op latencies run submit → completion. Must run
-/// inside the client's simulated process.
-#[allow(clippy::too_many_arguments)]
+/// (`spec.window > 1`). Op latencies run submit → completion (including
+/// any wait behind the window or a per-key hazard), and slot-level
+/// NoSpace/Busy backoff is part of them just like the serial loop. Must
+/// run inside the client's simulated process.
 fn run_pipelined(
-    spec: &ExperimentSpec,
-    fabric: &Arc<Fabric>,
-    node: &Node,
-    server_node: &Node,
-    desc: &AnyDesc,
-    obs: &Obs,
-    cid: usize,
+    mut pc: PipelinedClient,
+    ops_per_client: usize,
     stream: &mut OpStream,
     get: &mut Vec<Nanos>,
     put: &mut Vec<Nanos>,
 ) {
-    let AnyDesc::Single(desc) = desc else {
-        panic!("window > 1 requires an unsharded, unreplicated eFactory store");
-    };
-    let hybrid = match spec.system {
-        SystemKind::EFactory => true,
-        SystemKind::EFactoryNoHr => false,
-        other => panic!("{other:?} does not support a pipelined client"),
-    };
-    let pcfg = PipelineConfig {
-        window: spec.window,
-        doorbell_batch: spec.doorbell_batch,
-        client: ClientConfig {
-            hybrid_read: hybrid,
-            loc_cache: spec.loc_cache,
-            obs: obs.clone(),
-            ..ClientConfig::default()
-        },
-    };
-    let mut pc = PipelinedClient::connect(
-        fabric,
-        node,
-        server_node,
-        *desc,
-        pcfg,
-        &format!("client-{cid}"),
-    )
-    .unwrap_or_else(|e| panic!("{}: pipelined connect failed: {e}", spec.system.label()));
     let record = |comps: Vec<OpCompletion>, get: &mut Vec<Nanos>, put: &mut Vec<Nanos>| {
         for comp in comps {
-            match &comp.result {
-                Ok(_) => {}
-                Err(e) => panic!("{:?} failed: {e:?}", comp.kind),
+            if let Err(e) = &comp.result {
+                panic!("{:?} failed: {e:?}", comp.kind);
             }
             match comp.kind {
                 OpKind::Get => get.push(comp.latency()),
@@ -769,44 +625,44 @@ fn run_pipelined(
             }
         }
     };
-    for _ in 0..spec.ops_per_client {
+    for _ in 0..ops_per_client {
         let comps = match stream.next_op() {
             Op::Get { key } => pc.submit_get(&key),
             Op::Put { key, value } => pc.submit_put(&key, &value),
             Op::Txn { puts } => pc.submit_txn(&puts),
-            Op::SnapRead { .. } => {
-                panic!("pipelined driver has no snapshot-read lane; use spec.snap_readers")
-            }
+            Op::SnapRead { .. } => unreachable!("check_supported rejects snapshot ops here"),
         };
         record(comps, get, put);
     }
     record(pc.finish(), get, put);
 }
 
-/// Drive one client's transactional workload through the serial `TxnKv`
-/// client. Latencies: one sample per written key for a transaction (so
-/// throughput counts key-writes), one sample per read key for a snapshot
-/// read. Must run inside the client's simulated process.
-fn run_serial_txn(
-    kv: &dyn TxnRemote,
+/// Drive one client's workload through a serial client. Latencies: one
+/// sample per written key for a transaction (so throughput counts
+/// key-writes), one sample per read key for a snapshot read. Must run
+/// inside the client's simulated process.
+fn run_serial(
+    conn: &Conn,
     ops_per_client: usize,
     stream: &mut OpStream,
     get: &mut Vec<Nanos>,
     put: &mut Vec<Nanos>,
 ) {
-    use efactory::protocol::{Status, StoreError};
     for _ in 0..ops_per_client {
         match stream.next_op() {
             Op::Get { key } => {
                 let t0 = sim::now();
-                kv.kv_get(&key).expect("get failed");
+                conn.kv().kv_get(&key).expect("get failed");
                 get.push(sim::now() - t0);
             }
             Op::Put { key, value } => {
                 let t0 = sim::now();
+                // Under heavy cleaning pressure the pool can momentarily
+                // run out of space; real clients back off and retry, and
+                // the stall is part of the measured latency.
                 let mut tries = 0;
                 loop {
-                    match kv.kv_put(&key, &value) {
+                    match conn.kv().kv_put(&key, &value) {
                         Ok(()) => break,
                         Err(StoreError::Status(Status::NoSpace | Status::Busy)) if tries < 200 => {
                             tries += 1;
@@ -821,7 +677,7 @@ fn run_serial_txn(
                 let t0 = sim::now();
                 // The routed txn driver already retries Busy/Conflict with
                 // backoff; anything surviving that is a real failure.
-                kv.txn_put_all(&puts).expect("txn commit failed");
+                conn.txn().txn_put_all(&puts).expect("txn commit failed");
                 let dt = sim::now() - t0;
                 for _ in 0..puts.len() {
                     put.push(dt);
@@ -829,6 +685,7 @@ fn run_serial_txn(
             }
             Op::SnapRead { keys } => {
                 let t0 = sim::now();
+                let kv = conn.txn();
                 // A cleaning pool swap expires open snapshots (the swap
                 // recycles old-pool offsets); re-capture and restart the
                 // scan — the retry latency is part of the measurement.
@@ -888,6 +745,7 @@ fn run_inner(
     tweak: Option<CfgTweak>,
     obs: Option<Obs>,
 ) -> RunResult {
+    check_supported(spec);
     let obs = obs.unwrap_or_default();
     let mut simu = match spec.exec {
         Some(model) => Sim::with_exec(spec.seed, model),
@@ -911,14 +769,7 @@ fn run_inner(
             &[("bytes", bytes as u64)],
         );
     });
-    let server_node = fabric.add_node("server");
-    let server = Arc::new(build_server(
-        &fabric,
-        &server_node,
-        spec,
-        &obs,
-        tweak.as_deref(),
-    ));
+    let server = Arc::new(build_server(&fabric, spec, &obs, tweak.as_deref()));
     server.attach_obs(&obs);
 
     let collected: Arc<Mutex<Collected>> = Arc::default();
@@ -936,15 +787,7 @@ fn run_inner(
 
         // ---- preload ------------------------------------------------------
         let loader_node = f2.add_node("loader");
-        let loader = make_client(
-            spec2.system,
-            &f2,
-            &loader_node,
-            &server_node,
-            &desc,
-            &obs2,
-            spec2.loc_cache,
-        );
+        let loader = connect(&spec2, &f2, &loader_node, &desc, &obs2, 1, "loader");
         let wl = WorkloadConfig {
             mix: spec2.mix,
             record_count: spec2.record_count,
@@ -954,6 +797,7 @@ fn run_inner(
         };
         for id in 0..spec2.record_count {
             loader
+                .kv()
                 .kv_put(&wl.key(id), &make_value(spec2.value_len, id, 0))
                 .expect("preload put");
         }
@@ -962,18 +806,12 @@ fn run_inner(
         // eFactory's drained-verifier start below).
         if matches!(spec2.system, SystemKind::Forca) {
             for id in 0..spec2.record_count {
-                loader.kv_get(&wl.key(id)).expect("preload warm get");
+                loader.kv().kv_get(&wl.key(id)).expect("preload warm get");
             }
         }
         // Let eFactory's verifier(s) drain so measurement starts from a
         // clean, fully durable store (bounded wait).
-        if matches!(
-            &*server2,
-            AnyServer::Ef(_)
-                | AnyServer::EfSharded(_)
-                | AnyServer::EfRepl(_)
-                | AnyServer::EfCluster(_)
-        ) {
+        if is_efactory(spec2.system) {
             let deadline = sim::now() + sim::millis(500);
             while server2.stat_sum(|s| &s.bg_verified) + server2.stat_sum(|s| &s.bg_timeouts)
                 < spec2.record_count
@@ -985,51 +823,33 @@ fn run_inner(
         // With replication, also wait for the backups to catch up so the
         // measurement (and any injected fault) starts from a fully
         // mirrored store.
-        if let AnyServer::EfRepl(cluster) = &*server2 {
-            let deadline = sim::now() + sim::millis(500);
-            while cluster.repl_stat_sum(|s| &s.applied_objects) < spec2.record_count
-                && sim::now() < deadline
-            {
-                sim::sleep(sim::micros(200));
+        if let AnyServer::Ef(s) = &*server2 {
+            if spec2.replicas > 0 {
+                let deadline = sim::now() + sim::millis(500);
+                while s.repl_stat_sum(|r| &r.applied_objects) < spec2.record_count
+                    && sim::now() < deadline
+                {
+                    sim::sleep(sim::micros(200));
+                }
             }
         }
 
         // ---- measured clients ----------------------------------------------
         if spec2.force_clean {
-            match &*server2 {
-                AnyServer::Ef(s) => s.shared().clean_request.store(true, Ordering::Relaxed),
-                AnyServer::EfSharded(s) => {
-                    for shared in s.shared_all() {
-                        shared.clean_request.store(true, Ordering::Relaxed);
-                    }
-                }
-                AnyServer::EfRepl(c) => {
-                    for shared in c.shared_all() {
-                        shared.clean_request.store(true, Ordering::Relaxed);
-                    }
-                }
-                AnyServer::EfCluster(c) => {
-                    for g in 0..c.config().shards {
-                        c.shard_shared(g)
-                            .clean_request
-                            .store(true, Ordering::Relaxed);
-                    }
-                }
-                _ => {}
+            for shared in server2.ef_shared() {
+                shared.clean_request.store(true, Ordering::Relaxed);
             }
         }
         let t_start = sim::now();
         window2.lock().unwrap().0 = t_start;
         // Fault injection: power-fail every shard's primary at the chosen
-        // instant. Clients ride through via `ReplClient` failover; the
-        // stall is part of the measured latency.
-        if let Some(fault_at) = spec2.fault_at {
-            let AnyServer::EfRepl(cluster) = &*server2 else {
-                panic!("fault_at requires replicas > 0");
-            };
-            for i in 0..cluster.shards() {
+        // instant. Clients ride through via per-shard failover; the stall
+        // is part of the measured latency.
+        if let (Some(fault_at), AnyServer::Ef(s)) = (spec2.fault_at, &*server2) {
+            for i in 0..s.shards() {
+                let primary = s.replicated(i).expect("fault_at requires replicas > 0");
                 f2.schedule_crash(
-                    cluster.server(i).primary_node(),
+                    primary.primary_node(),
                     t_start + fault_at,
                     efactory_pmem::CrashSpec::DropAll,
                     spec2.seed ^ 0x0FAB_u64 ^ ((i as u64) << 17),
@@ -1044,15 +864,12 @@ fn run_inner(
         // live cluster rather than race the teardown.
         let mut migrator = None;
         if let Some(migrate_at) = spec2.migrate_at {
-            let AnyServer::EfCluster(_) = &*server2 else {
-                panic!("migrate_at requires nodes > 1");
-            };
             let server3 = Arc::clone(&server2);
             let t0 = t_start + migrate_at;
             migrator = Some(sim::spawn("migrator", move || {
                 sim::sleep(t0.saturating_sub(sim::now()));
                 let AnyServer::EfCluster(c) = &*server3 else {
-                    unreachable!()
+                    unreachable!("check_supported: migrate_at requires nodes > 1")
                 };
                 let from = c.owner_of(0);
                 let to = (from + 1) % c.config().nodes;
@@ -1067,7 +884,6 @@ fn run_inner(
         let mut snap_handles = Vec::new();
         for rid in 0..spec2.snap_readers {
             let f3 = Arc::clone(&f2);
-            let sn = server_node.clone();
             let spec3 = spec2.clone();
             let wl = wl.clone();
             let obs3 = obs2.clone();
@@ -1075,15 +891,8 @@ fn run_inner(
             let stop = Arc::clone(&snap_stop);
             snap_handles.push(sim::spawn(&format!("snap-reader-{rid}"), move || {
                 let node = f3.add_node(&format!("snapnode-{rid}"));
-                let kv = make_txn_client(
-                    spec3.system,
-                    &f3,
-                    &node,
-                    &sn,
-                    &desc3,
-                    &obs3,
-                    spec3.loc_cache,
-                );
+                let conn = connect(&spec3, &f3, &node, &desc3, &obs3, 1, "snap");
+                let kv = conn.txn();
                 // Deterministic key picks: a per-reader xorshift stream.
                 let mut z = spec3.seed ^ ((rid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let mut next_id = || {
@@ -1105,7 +914,6 @@ fn run_inner(
                         // mid-scan; abandon it and re-capture on the next
                         // iteration (readers model periodic scans, not
                         // exactly-once reads).
-                        use efactory::protocol::{Status, StoreError};
                         match kv.snap_get(&wl.key(next_id()), &snap) {
                             Ok(_) => {}
                             Err(StoreError::Status(Status::Expired)) => break,
@@ -1119,7 +927,6 @@ fn run_inner(
         let mut handles = Vec::new();
         for cid in 0..spec2.clients {
             let f3 = Arc::clone(&f2);
-            let sn = server_node.clone();
             let spec3 = spec2.clone();
             let wl = wl.clone();
             let collected3 = Arc::clone(&collected2);
@@ -1130,79 +937,12 @@ fn run_inner(
                 let mut stream = OpStream::new(wl, spec3.seed, cid as u64);
                 let mut get = Vec::with_capacity(spec3.ops_per_client);
                 let mut put = Vec::with_capacity(spec3.ops_per_client);
-                if spec3.mix.transactional() && spec3.window <= 1 {
-                    let kv = make_txn_client(
-                        spec3.system,
-                        &f3,
-                        &node,
-                        &sn,
-                        &desc3,
-                        &obs3,
-                        spec3.loc_cache,
-                    );
-                    run_serial_txn(&*kv, spec3.ops_per_client, &mut stream, &mut get, &mut put);
-                } else if spec3.window > 1 {
-                    // Pipelined closed loop: up to `window` operations in
-                    // flight; the latency of an op runs submit → completion
-                    // (including any wait behind the window or a per-key
-                    // hazard), and slot-level NoSpace/Busy backoff is part
-                    // of it just like the serial loop below.
-                    run_pipelined(
-                        &spec3,
-                        &f3,
-                        &node,
-                        &sn,
-                        &desc3,
-                        &obs3,
-                        cid,
-                        &mut stream,
-                        &mut get,
-                        &mut put,
-                    );
-                } else {
-                    let kv = make_client(
-                        spec3.system,
-                        &f3,
-                        &node,
-                        &sn,
-                        &desc3,
-                        &obs3,
-                        spec3.loc_cache,
-                    );
-                    for _ in 0..spec3.ops_per_client {
-                        match stream.next_op() {
-                            Op::Txn { .. } | Op::SnapRead { .. } => {
-                                unreachable!("transactional ops route through run_serial_txn")
-                            }
-                            Op::Get { key } => {
-                                let t0 = sim::now();
-                                kv.kv_get(&key).expect("get failed");
-                                get.push(sim::now() - t0);
-                            }
-                            Op::Put { key, value } => {
-                                let t0 = sim::now();
-                                // Under heavy cleaning pressure the pool can
-                                // momentarily run out of space; real clients
-                                // back off and retry, and the stall is part of
-                                // the measured latency.
-                                let mut tries = 0;
-                                loop {
-                                    match kv.kv_put(&key, &value) {
-                                        Ok(()) => break,
-                                        Err(efactory::protocol::StoreError::Status(
-                                            efactory::protocol::Status::NoSpace
-                                            | efactory::protocol::Status::Busy,
-                                        )) if tries < 200 => {
-                                            tries += 1;
-                                            sim::sleep(sim::micros(50));
-                                        }
-                                        Err(e) => panic!("put failed: {e:?}"),
-                                    }
-                                }
-                                put.push(sim::now() - t0);
-                            }
-                        }
-                    }
+                let name = format!("client-{cid}");
+                let conn = connect(&spec3, &f3, &node, &desc3, &obs3, spec3.window, &name);
+                let ops = spec3.ops_per_client;
+                match conn {
+                    Conn::Pipelined(pc) => run_pipelined(*pc, ops, &mut stream, &mut get, &mut put),
+                    conn => run_serial(&conn, ops, &mut stream, &mut get, &mut put),
                 }
                 let mut c = collected3.lock().unwrap();
                 c.get.extend_from_slice(&get);

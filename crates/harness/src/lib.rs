@@ -156,6 +156,17 @@ mod tests {
         assert_eq!(counter(&r, "client.txn.commits"), 120);
     }
 
+    /// A cluster shard has no backup: asking for both must fail up front
+    /// instead of silently running a single-node replicated store.
+    #[test]
+    #[should_panic(expected = "replicas > 0 with nodes > 1 is not supported")]
+    fn replicas_with_nodes_is_rejected() {
+        let mut s = tiny(SystemKind::EFactory, Mix::A);
+        s.nodes = 2;
+        s.replicas = 1;
+        run(&s);
+    }
+
     #[test]
     fn snapshot_readers_ride_along_with_writers() {
         let mut s = tiny(SystemKind::EFactory, Mix::UpdateOnly);

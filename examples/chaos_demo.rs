@@ -22,7 +22,8 @@ use std::sync::Arc;
 use efactory::client::ClientConfig;
 use efactory::layout::{self, flags};
 use efactory::log::StoreLayout;
-use efactory::repl::{ReplClient, ReplicatedServer};
+use efactory::repl::ReplicatedServer;
+use efactory::route::RoutedClient;
 use efactory::server::ServerConfig;
 use efactory_rnic::{CostModel, Fabric, FaultPlan};
 use efactory_sim as sim;
@@ -57,10 +58,10 @@ fn main() {
     let server2 = Arc::clone(&server);
     simulation.spawn("demo", move || {
         server2.start(&f);
-        let client = ReplClient::connect(
+        let client = RoutedClient::connect(
             &f,
             &f.add_node("client"),
-            &server2.desc(),
+            &server2.seat().into(),
             ClientConfig::default(),
         )
         .expect("connect");

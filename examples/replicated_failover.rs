@@ -11,7 +11,7 @@
 //! The demo power-fails the primary at a chosen virtual instant (the
 //! fault-injection hook), lets the backup promote autonomously by replaying
 //! its mirrored log through the standard recovery path, and shows a
-//! [`ReplClient`] riding through the failure transparently.
+//! [`RoutedClient`] riding through the failure transparently.
 //!
 //! Run with: `cargo run --release --example replicated_failover`
 
@@ -19,7 +19,8 @@ use std::sync::Arc;
 
 use efactory::client::ClientConfig;
 use efactory::log::StoreLayout;
-use efactory::repl::{ReplClient, ReplicatedServer};
+use efactory::repl::ReplicatedServer;
+use efactory::route::RoutedClient;
 use efactory::server::ServerConfig;
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
@@ -44,10 +45,10 @@ fn main() {
     let f = Arc::clone(&fabric);
     simulation.spawn("demo", move || {
         server.start(&f);
-        let client = ReplClient::connect(
+        let client = RoutedClient::connect(
             &f,
             &f.add_node("client"),
-            &server.desc(),
+            &server.seat().into(),
             ClientConfig::default(),
         )
         .expect("connect");

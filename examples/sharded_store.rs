@@ -13,8 +13,9 @@ use std::sync::Arc;
 
 use efactory::client::ClientConfig;
 use efactory::log::StoreLayout;
+use efactory::route::RoutedClient;
 use efactory::server::ServerConfig;
-use efactory::shard::{shard_of, ShardedClient, ShardedServer};
+use efactory::shard::{shard_of, ShardedServer};
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
 use efactory_sim::Sim;
@@ -33,7 +34,7 @@ fn main() {
         doorbell_batch: 16,
         ..ServerConfig::default()
     };
-    let server = ShardedServer::format(&fabric, "store", layout, cfg, SHARDS);
+    let server = ShardedServer::format(&fabric, "store", layout, cfg, SHARDS, 0);
 
     let f = Arc::clone(&fabric);
     simulation.spawn("demo", move || {
@@ -41,7 +42,7 @@ fn main() {
 
         // One client machine, connected to every shard. The router is a
         // pure function of the key bytes — every client everywhere agrees.
-        let client = ShardedClient::connect(
+        let client = RoutedClient::connect(
             &f,
             &f.add_node("client"),
             &server.desc(),

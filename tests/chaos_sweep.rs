@@ -28,7 +28,8 @@ use std::sync::{Arc, Mutex};
 use efactory::client::{Client, ClientConfig};
 use efactory::layout::{self, flags};
 use efactory::log::StoreLayout;
-use efactory::repl::{ReplClient, ReplicatedServer};
+use efactory::repl::ReplicatedServer;
+use efactory::route::{RouteDesc, RoutedClient};
 use efactory::server::{Server, ServerConfig};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric, FaultPlan};
@@ -783,9 +784,10 @@ fn bit_rot_replicated_repairs_from_backup() {
     let server2 = Arc::clone(&server);
     simu.spawn("main", move || {
         server2.start(&f);
-        let rdesc = server2.desc();
+        let rdesc = RouteDesc::from(server2.seat());
         let cnode = f.add_node("cnode");
-        let c = ReplClient::connect(&f, &cnode, &rdesc, ClientConfig::default()).expect("connect");
+        let c =
+            RoutedClient::connect(&f, &cnode, &rdesc, ClientConfig::default()).expect("connect");
         let k = b"rot-key-".to_vec();
         let v = vec![0x33u8; 64];
         c.put(&k, &v).expect("put");
@@ -856,9 +858,10 @@ fn full_chaos_replicated_cluster_converges() {
     let out2 = Arc::clone(&out);
     simu.spawn("main", move || {
         server2.start(&f);
-        let rdesc = server2.desc();
+        let rdesc = RouteDesc::from(server2.seat());
         let cnode = f.add_node("cnode");
-        let c = ReplClient::connect(&f, &cnode, &rdesc, ClientConfig::default()).expect("connect");
+        let c =
+            RoutedClient::connect(&f, &cnode, &rdesc, ClientConfig::default()).expect("connect");
 
         // Phase A: seed the keyspace, then drain verification + mirroring
         // so the crash window holds no acked-but-unmirrored write.
@@ -1036,11 +1039,11 @@ fn run_txn_chaos(seed: u64, plan: Option<FaultPlan>) -> TxnChaosOutcome {
         let mut handles = Vec::new();
         for (cid, script) in scripts.iter().cloned().enumerate() {
             let f2 = Arc::clone(&f);
-            let sn = server_node.clone();
+            let route = RouteDesc::from(server2.seat());
             let commits_acc = Arc::clone(&commits_acc);
             handles.push(sim::spawn(&format!("txn-chaos-{cid}"), move || {
                 let node = f2.add_node(&format!("tnode-{cid}"));
-                let c = Client::connect(&f2, &node, &sn, desc, ClientConfig::default())
+                let c = RoutedClient::connect(&f2, &node, &route, ClientConfig::default())
                     .expect("connect");
                 for (t, set) in script.iter().enumerate() {
                     let writes: Vec<(Vec<u8>, Vec<u8>)> = set

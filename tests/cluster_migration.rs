@@ -16,14 +16,17 @@
 //!   stay atomic; the trace-based checker accepts the history.
 //! * **Determinism**: an entire migration-under-traffic run replays
 //!   byte-identically from the same seed.
+//! * **The window composes**: pipelined harness clients retarget slot by
+//!   slot across a live migration.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory::client::ClientConfig;
-use efactory::cluster::{Cluster, ClusterClient, ClusterConfig};
+use efactory::cluster::{Cluster, ClusterConfig};
 use efactory::log::StoreLayout;
 use efactory::protocol::{Status, StoreError};
+use efactory::route::RoutedClient;
 use efactory::server::ServerConfig;
 use efactory::TxnKv;
 use efactory_rnic::{CostModel, Fabric};
@@ -76,13 +79,11 @@ fn with_cluster_cfg(seed: u64, cfg: ClusterConfig, body: impl FnOnce(&Cluster) +
     simu.run().expect_ok();
 }
 
-fn connect(cluster: &Cluster, name: &str) -> ClusterClient {
-    ClusterClient::connect(
+fn connect(cluster: &Cluster, name: &str) -> RoutedClient {
+    RoutedClient::connect(
         cluster.fabric(),
         &cluster.fabric().add_node(name),
-        cluster.meta_nodes(),
-        cluster.handle(),
-        cluster.stats(),
+        &cluster.desc(),
         client_cfg(),
     )
     .expect("cluster client connect")
@@ -158,16 +159,12 @@ fn live_migration_under_traffic_is_lossless() {
         let stop2 = Arc::clone(&stop);
         let acked2 = Arc::clone(&acked);
         let fabric = Arc::clone(cluster.fabric());
-        let meta_nodes = cluster.meta_nodes().to_vec();
-        let handle = Arc::clone(cluster.handle());
-        let stats = Arc::clone(cluster.stats());
+        let desc = cluster.desc();
         let writer = sim::spawn("writer", move || {
-            let c = ClusterClient::connect(
+            let c = RoutedClient::connect(
                 &fabric,
                 &fabric.add_node("writer-node"),
-                &meta_nodes,
-                &handle,
-                &stats,
+                &desc,
                 client_cfg(),
             )
             .expect("writer connect");
@@ -263,16 +260,12 @@ fn migration_with_cleaning_enabled_is_lossless() {
         let stop2 = Arc::clone(&stop);
         let acked2 = Arc::clone(&acked);
         let fabric = Arc::clone(cluster.fabric());
-        let meta_nodes = cluster.meta_nodes().to_vec();
-        let handle = Arc::clone(cluster.handle());
-        let stats = Arc::clone(cluster.stats());
+        let desc = cluster.desc();
         let writer = sim::spawn("writer", move || {
-            let c = ClusterClient::connect(
+            let c = RoutedClient::connect(
                 &fabric,
                 &fabric.add_node("writer-node"),
-                &meta_nodes,
-                &handle,
-                &stats,
+                &desc,
                 client_cfg(),
             )
             .expect("writer connect");
@@ -353,12 +346,10 @@ fn loc_cache_is_epoch_fenced_across_router_flip() {
     with_cluster(303, 2, 2, |cluster| {
         // Hybrid-read client with the location cache on: repeat GETs take
         // the pure one-sided path against cached object offsets.
-        let c = ClusterClient::connect(
+        let c = RoutedClient::connect(
             cluster.fabric(),
             &cluster.fabric().add_node("cached-client"),
-            cluster.meta_nodes(),
-            cluster.handle(),
-            cluster.stats(),
+            &cluster.desc(),
             ClientConfig {
                 loc_cache: true,
                 ..ClientConfig::default()
@@ -418,16 +409,12 @@ fn transactions_compose_across_migration() {
             let stop2 = Arc::clone(&stop);
             let events2 = Arc::clone(&events);
             let fabric = Arc::clone(cluster.fabric());
-            let meta_nodes = cluster.meta_nodes().to_vec();
-            let handle = Arc::clone(cluster.handle());
-            let stats = Arc::clone(cluster.stats());
+            let desc = cluster.desc();
             writers.push(sim::spawn(&format!("txn-writer-{w}"), move || {
-                let c = ClusterClient::connect(
+                let c = RoutedClient::connect(
                     &fabric,
                     &fabric.add_node(&format!("txn-node-{w}")),
-                    &meta_nodes,
-                    &handle,
-                    &stats,
+                    &desc,
                     client_cfg(),
                 )
                 .expect("txn writer connect");
@@ -522,16 +509,12 @@ fn traffic_run(seed: u64) -> Vec<(String, u64)> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let fabric2 = Arc::clone(c2.fabric());
-        let meta_nodes = c2.meta_nodes().to_vec();
-        let handle = Arc::clone(c2.handle());
-        let stats = Arc::clone(c2.stats());
+        let desc = c2.desc();
         let writer = sim::spawn("writer", move || {
-            let w = ClusterClient::connect(
+            let w = RoutedClient::connect(
                 &fabric2,
                 &fabric2.add_node("writer-node"),
-                &meta_nodes,
-                &handle,
-                &stats,
+                &desc,
                 client_cfg(),
             )
             .unwrap();
@@ -577,6 +560,61 @@ fn migration_under_traffic_replays_byte_identically() {
     assert!(
         get("meta.commits") >= 2,
         "start+commit must hit the meta log"
+    );
+}
+
+/// Pipelined clients ride a live migration: every window slot is a routed
+/// client of its own and retargets on `WrongEpoch`, so a harness run with
+/// 16 ops in flight per client completes every op while shard 0 moves,
+/// and replays byte-identically.
+#[test]
+fn pipelined_clients_retarget_across_live_migration() {
+    use efactory_harness::cluster::{run, Cleaning, ExperimentSpec, SystemKind};
+    use efactory_ycsb::Mix;
+
+    let spec = ExperimentSpec {
+        system: SystemKind::EFactory,
+        mix: Mix::A,
+        value_len: 128,
+        key_len: 16,
+        clients: 2,
+        ops_per_client: 600,
+        record_count: 64,
+        seed: 31,
+        cleaning: Cleaning::Disabled,
+        force_clean: false,
+        shards: 2,
+        doorbell_batch: 16,
+        replicas: 0,
+        fault_at: None,
+        fault_plan: None,
+        scrub: false,
+        window: 16,
+        loc_cache: true,
+        snap_readers: 0,
+        nodes: 2,
+        migrate_at: Some(sim::micros(20)),
+        exec: None,
+    };
+    let a = run(&spec);
+    let b = run(&spec);
+    assert_eq!(
+        a.counters, b.counters,
+        "pipelined migration run must replay"
+    );
+    assert_eq!(a.total_ops, 1_200, "every op completes");
+    let get = |name: &str| {
+        a.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("counter {name} missing"))
+    };
+    assert_eq!(get("cluster.migrate.committed"), 1);
+    assert_eq!(get("cluster.migrate.verify_diff_bytes"), 0);
+    assert!(
+        get("cluster.client.retargets") > 0,
+        "the window must have seen the placement flip"
     );
 }
 

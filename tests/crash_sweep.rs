@@ -18,6 +18,7 @@ use std::sync::Arc;
 use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
 use efactory::recovery;
+use efactory::route::{RouteDesc, RoutedClient};
 use efactory::server::{Server, ServerConfig};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
@@ -45,7 +46,7 @@ fn crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> Vec<u8> {
     let out2 = Arc::clone(&out);
     simu.spawn("main", move || {
         server.start(&f);
-        let c = connect(&f, &server_node, &server);
+        let c = connect(&f, &server);
         // Make the OLD version durable (write + read-back).
         c.put(b"swept", OLD).unwrap();
         c.get(b"swept").unwrap().unwrap();
@@ -69,7 +70,7 @@ fn crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> Vec<u8> {
         let (server2, _report) = recovery::recover(&f, &server_node, pool, layout, cfg);
         recovery::check_consistency(&server2.shared().pool, &layout);
         server2.start(&f);
-        let c2 = connect(&f, &server_node, &server2);
+        let c2 = connect(&f, &server2);
         let v = c2
             .get(b"swept")
             .unwrap()
@@ -85,13 +86,12 @@ fn crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> Vec<u8> {
     v
 }
 
-fn connect(fabric: &Arc<Fabric>, server_node: &efactory_rnic::Node, server: &Server) -> Client {
+fn connect(fabric: &Arc<Fabric>, server: &Server) -> RoutedClient {
     let cnode = fabric.add_node("client");
-    Client::connect(
+    RoutedClient::connect(
         fabric,
         &cnode,
-        server_node,
-        server.desc(),
+        &server.seat().into(),
         ClientConfig::default(),
     )
     .unwrap()
@@ -152,7 +152,7 @@ fn sweep_with_full_eviction() {
 // structural check), and require each shard's key to read OLD or NEW —
 // never torn — with the whole sharded store writable afterwards.
 
-use efactory::shard::{shard_of, ShardedClient, ShardedDesc, ShardedServer};
+use efactory::shard::{shard_of, ShardedServer};
 
 /// Shard counts under test: `EF_TEST_SHARDS` env (comma-separated) or the
 /// acceptance sweep's default.
@@ -191,7 +191,7 @@ fn sharded_crash_at(shards: usize, t_crash: Nanos, spec: CrashSpec, seed: u64) -
     let f = Arc::clone(&fabric);
     let cfg2 = cfg.clone();
     simu.spawn("main", move || {
-        let server = ShardedServer::format(&f, "server", layout, cfg2.clone(), shards);
+        let server = ShardedServer::format(&f, "server", layout, cfg2.clone(), shards, 0);
         let nodes: Vec<_> = (0..shards).map(|i| server.node(i).clone()).collect();
         let pools: Vec<_> = server
             .shared_all()
@@ -199,7 +199,7 @@ fn sharded_crash_at(shards: usize, t_crash: Nanos, spec: CrashSpec, seed: u64) -
             .map(|s| Arc::clone(&s.pool))
             .collect();
         server.start(&f);
-        let c = ShardedClient::connect(
+        let c = RoutedClient::connect(
             &f,
             &f.add_node("client"),
             &server.desc(),
@@ -232,8 +232,7 @@ fn sharded_crash_at(shards: usize, t_crash: Nanos, spec: CrashSpec, seed: u64) -
 
         // Per-shard reboot + recovery: no cross-shard state, so each shard
         // recovers from its own pool alone.
-        let mut rnodes = Vec::new();
-        let mut rdescs = Vec::new();
+        let mut rseats = Vec::new();
         let mut rservers = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
             f.restart_node(node);
@@ -244,17 +243,13 @@ fn sharded_crash_at(shards: usize, t_crash: Nanos, spec: CrashSpec, seed: u64) -
             let (srv, _report) = recovery::recover(&f, node, Arc::clone(&pools[i]), layout, scfg);
             recovery::check_consistency(&srv.shared().pool, &layout);
             srv.start(&f);
-            rnodes.push(node.clone());
-            rdescs.push(srv.desc());
+            rseats.push(srv.seat());
             rservers.push(srv);
         }
-        let c2 = ShardedClient::connect(
+        let c2 = RoutedClient::connect(
             &f,
             &f.add_node("client2"),
-            &ShardedDesc {
-                nodes: rnodes,
-                descs: rdescs,
-            },
+            &RouteDesc::Machine(rseats),
             ClientConfig::default(),
         )
         .unwrap();
@@ -360,7 +355,7 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
             &f,
             &f.add_node("client"),
             server.primary_node(),
-            server.desc().desc,
+            server.primary().desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -538,7 +533,7 @@ fn txn_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> bool {
     let out2 = Arc::clone(&out);
     simu.spawn("main", move || {
         server.start(&f);
-        let c = connect(&f, &server_node, &server);
+        let c = connect(&f, &server);
         // Make the OLD write set durable (write + read-back each key).
         for i in 0..TXN_SWEEP_KEYS {
             c.put(&txn_key(i), &txn_old(i)).unwrap();
@@ -566,7 +561,7 @@ fn txn_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> bool {
         let (server2, _report) = recovery::recover(&f, &server_node, pool, layout, cfg);
         recovery::check_consistency(&server2.shared().pool, &layout);
         server2.start(&f);
-        let c2 = connect(&f, &server_node, &server2);
+        let c2 = connect(&f, &server2);
         let mut news = 0usize;
         for i in 0..TXN_SWEEP_KEYS {
             let v = c2
@@ -638,7 +633,7 @@ fn txn_sweep_with_all_dirty_lines_lost() {
 // inside the commit window itself is settled by staging + reconciliation,
 // never by serving two owners.
 
-use efactory::cluster::{Cluster, ClusterClient, ClusterConfig, MetaClient};
+use efactory::cluster::{Cluster, ClusterConfig, MetaClient};
 
 const MIG_KEYS: usize = 16;
 
@@ -684,12 +679,10 @@ fn migration_crash_at(victim: MigVictim, t_crash: Nanos, seed: u64) -> bool {
     simu.spawn("main", move || {
         cl.start();
         sim::sleep(sim::millis(1)); // leader elected, heartbeats flowing
-        let seeder = ClusterClient::connect(
+        let seeder = RoutedClient::connect(
             &f,
             &f.add_node("seeder"),
-            cl.meta_nodes(),
-            cl.handle(),
-            cl.stats(),
+            &cl.desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -773,12 +766,10 @@ fn migration_crash_at(victim: MigVictim, t_crash: Nanos, seed: u64) -> bool {
 
         // The surviving owner serves every seeded key un-torn and accepts
         // writes.
-        let checker = ClusterClient::connect(
+        let checker = RoutedClient::connect(
             &f,
             &f.add_node("checker"),
-            cl.meta_nodes(),
-            cl.handle(),
-            cl.stats(),
+            &cl.desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -950,7 +941,7 @@ fn clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64) -> Option<
     let out2 = Arc::clone(&out);
     simu.spawn("main", move || {
         let shared = server.start(&f);
-        let c = connect(&f, &server_node, &server);
+        let c = connect(&f, &server);
         // Two generations per key → multi-version chains for the pass to
         // walk; the tail keys get tombstoned so reclamation runs too.
         for gen in 0..2u32 {
@@ -1073,7 +1064,7 @@ fn clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64) -> Option<
         let (server2, _report) = recovery::recover(&f, &server_node, pool, layout, cfg.clone());
         recovery::check_consistency(&server2.shared().pool, &layout);
         let shared2 = server2.start(&f);
-        let c2 = connect(&f, &server_node, &server2);
+        let c2 = connect(&f, &server2);
         let t = t_crash.unwrap();
         for i in 0..CLEAN_KEYS - CLEAN_DEAD {
             let v = c2
@@ -1192,7 +1183,7 @@ fn sharded_clean_crash_at(
     let f = Arc::clone(&fabric);
     let cfg2 = cfg.clone();
     simu.spawn("main", move || {
-        let server = ShardedServer::format(&f, "server", layout, cfg2.clone(), shards);
+        let server = ShardedServer::format(&f, "server", layout, cfg2.clone(), shards, 0);
         let nodes: Vec<_> = (0..shards).map(|i| server.node(i).clone()).collect();
         let pools: Vec<_> = server
             .shared_all()
@@ -1201,7 +1192,7 @@ fn sharded_clean_crash_at(
             .collect();
         let shareds: Vec<_> = server.shared_all().into_iter().map(Arc::clone).collect();
         server.start(&f);
-        let c = ShardedClient::connect(
+        let c = RoutedClient::connect(
             &f,
             &f.add_node("client"),
             &server.desc(),
@@ -1255,8 +1246,7 @@ fn sharded_clean_crash_at(
         controller.join();
         sim::sleep(sim::millis(1));
 
-        let mut rnodes = Vec::new();
-        let mut rdescs = Vec::new();
+        let mut rseats = Vec::new();
         let mut rservers = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
             f.restart_node(node);
@@ -1267,17 +1257,13 @@ fn sharded_clean_crash_at(
             let (srv, _report) = recovery::recover(&f, node, Arc::clone(&pools[i]), layout, scfg);
             recovery::check_consistency(&srv.shared().pool, &layout);
             srv.start(&f);
-            rnodes.push(node.clone());
-            rdescs.push(srv.desc());
+            rseats.push(srv.seat());
             rservers.push(srv);
         }
-        let c2 = ShardedClient::connect(
+        let c2 = RoutedClient::connect(
             &f,
             &f.add_node("client2"),
-            &ShardedDesc {
-                nodes: rnodes,
-                descs: rdescs,
-            },
+            &RouteDesc::Machine(rseats),
             ClientConfig::default(),
         )
         .unwrap();
@@ -1342,7 +1328,7 @@ fn replicated_clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64)
             &f,
             &f.add_node("client"),
             server.primary_node(),
-            server.desc().desc,
+            server.primary().desc(),
             ClientConfig::default(),
         )
         .unwrap();

@@ -9,7 +9,7 @@
 //! is an instrumentation bug (a span leaking outside its op, a verb probe
 //! firing on the wrong thread), never rounding noise. These tests pin the
 //! invariant across the configuration surface: shard counts, pipelined
-//! windows, replication, and a lossy-fabric chaos plan.
+//! windows, replication, data nodes, and a lossy-fabric chaos plan.
 
 use efactory_harness::{cluster, Cleaning, ExperimentSpec, SystemKind};
 use efactory_obs::critical_path::PhaseKind;
@@ -51,8 +51,15 @@ fn run_checked(tag: &str, spec: &ExperimentSpec) -> Breakdown {
     let r = cluster::run_observed(spec, CostModel::default(), &obs);
     assert_eq!(obs.tracer.dropped(), 0, "{tag}: trace ring must not drop");
     let b = r.breakdown.expect("eFactory runs fold a breakdown");
+    // The harness records one latency sample per written key of a
+    // transaction, so a Txn-only run folds `total_ops / TXN_KEYS` ops.
+    let samples_per_op = match spec.mix {
+        Mix::TxnOnly => cluster::TXN_KEYS as u64,
+        _ => 1,
+    };
     assert_eq!(
-        b.ops, r.total_ops,
+        b.ops,
+        r.total_ops / samples_per_op,
         "{tag}: every measured op folds exactly once"
     );
     assert_eq!(
@@ -79,8 +86,8 @@ fn run_checked(tag: &str, spec: &ExperimentSpec) -> Breakdown {
 }
 
 /// The acceptance matrix: {1,4,8} shards × {window 1,16} × {replicas 0,1}
-/// × one chaos plan, restricted to the combinations the harness supports
-/// (a pipelined window requires an unsharded, unreplicated store).
+/// × {nodes 1,2} × one chaos plan, plus Txn-only over {shards 1,2} ×
+/// {replicas 0,1}.
 #[test]
 fn conservation_holds_across_shards_windows_replicas_and_chaos() {
     // Shard sweep.
@@ -103,12 +110,36 @@ fn conservation_holds_across_shards_windows_replicas_and_chaos() {
             .any(|p| p.kind == PhaseKind::Queue && p.total_ns > 0),
         "pipelined run must attribute queue time"
     );
+    // The window composes with every topology.
+    for (tag, shards, replicas, nodes) in [
+        ("window16-shards4", 4, 0, 1),
+        ("window16-repl1", 1, 1, 1),
+        ("window16-nodes2", 1, 0, 2),
+    ] {
+        let mut s = base(Mix::UpdateOnly, 12);
+        s.window = 16;
+        s.doorbell_batch = 16;
+        s.shards = shards;
+        s.replicas = replicas;
+        s.nodes = nodes;
+        run_checked(tag, &s);
+    }
     // Replication, with and without shards.
     for shards in [1usize, 4] {
         let mut s = base(Mix::A, 13);
         s.shards = shards;
         s.replicas = 1;
         run_checked(&format!("repl-shards{shards}"), &s);
+    }
+    // Transactions open one root span per commit on every single-machine
+    // topology, replicated and sharded alike.
+    for replicas in [0usize, 1] {
+        for shards in [1usize, 2] {
+            let mut s = base(Mix::TxnOnly, 15);
+            s.shards = shards;
+            s.replicas = replicas;
+            run_checked(&format!("txn-shards{shards}-repl{replicas}"), &s);
+        }
     }
     // Chaos: a lossy, duplicating, delaying fabric stretches ops with
     // retransmissions and backoff; the invariant must survive retries.

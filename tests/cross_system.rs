@@ -128,8 +128,9 @@ fn drive_stream(kv: &dyn RemoteKv) -> ReadLog {
 fn replay_sharded(shards: usize, doorbell: usize) -> ReadLog {
     use efactory::client::ClientConfig;
     use efactory::log::StoreLayout;
+    use efactory::route::RoutedClient;
     use efactory::server::ServerConfig;
-    use efactory::shard::{ShardedClient, ShardedServer};
+    use efactory::shard::ShardedServer;
     use efactory_rnic::{CostModel, Fabric};
 
     let mut simu = Sim::new(5);
@@ -147,9 +148,10 @@ fn replay_sharded(shards: usize, doorbell: usize) -> ReadLog {
                 ..ServerConfig::default()
             },
             shards,
+            0,
         );
         srv.start(&f);
-        let c = ShardedClient::connect(&f, &f.add_node("c"), &srv.desc(), ClientConfig::default())
+        let c = RoutedClient::connect(&f, &f.add_node("c"), &srv.desc(), ClientConfig::default())
             .unwrap();
         let results = drive_stream(&c);
         srv.shutdown();

@@ -16,14 +16,24 @@
 //!   lossy fault plan still converge to the script-dictated state with
 //!   `server.puts == logical puts + put_reissues` and deduplicated
 //!   retries, even with many request-id streams in flight at once.
+//!
+//! Every slot is a routed client, so the window composes with any
+//! topology: serial equivalence is also checked on a sharded, a replicated
+//! and a multi-node store. The topology honors `EF_TEST_SHARDS`,
+//! `EF_TEST_REPLICAS` and `EF_TEST_NODES` (comma-separated counts) so the
+//! CI matrix lanes cover window × topology; with none set the suite runs
+//! 4 shards, 1 replica and 2 nodes.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use efactory::client::{Client, ClientConfig};
+use efactory::cluster::{Cluster, ClusterConfig};
 use efactory::log::StoreLayout;
 use efactory::pipeline::{OpKind, PipelineConfig, PipelinedClient};
-use efactory::server::{Server, ServerConfig};
+use efactory::route::{RouteDesc, RoutedClient};
+use efactory::server::{Server, ServerConfig, ServerStats};
+use efactory::shard::ShardedServer;
 use efactory_obs::Obs;
 use efactory_rnic::{CostModel, Fabric, FaultPlan};
 use efactory_sim as sim;
@@ -139,21 +149,140 @@ fn kind_tag(kind: OpKind) -> u8 {
     }
 }
 
-/// Run the script through a [`PipelinedClient`] with the given window.
-fn run_pipelined(seed: u64, window: usize, plan: Option<FaultPlan>) -> Outcome {
+/// Where the script runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Topology {
+    shards: usize,
+    /// Backups per shard (0 or 1).
+    replicas: usize,
+    /// Data nodes; above 1 the store is a [`Cluster`].
+    nodes: usize,
+}
+
+const SINGLE: Topology = Topology {
+    shards: 1,
+    replicas: 0,
+    nodes: 1,
+};
+
+/// The topologies the window is checked on besides [`SINGLE`]: the CI
+/// lane's `EF_TEST_SHARDS` × `EF_TEST_REPLICAS` × `EF_TEST_NODES` when any
+/// is set (replicas × nodes is not a supported store and is skipped),
+/// else 4 shards, 1 replica and 2 nodes.
+fn topologies() -> Vec<Topology> {
+    let counts = |name: &str| -> Option<Vec<usize>> {
+        let v = std::env::var(name).ok().filter(|v| !v.trim().is_empty())?;
+        Some(
+            v.split(',')
+                .map(|t| {
+                    t.trim()
+                        .parse()
+                        .unwrap_or_else(|_| panic!("{name}: bad count"))
+                })
+                .collect(),
+        )
+    };
+    let (shards, replicas, nodes) = (
+        counts("EF_TEST_SHARDS"),
+        counts("EF_TEST_REPLICAS"),
+        counts("EF_TEST_NODES"),
+    );
+    if shards.is_none() && replicas.is_none() && nodes.is_none() {
+        return vec![
+            Topology {
+                shards: 4,
+                ..SINGLE
+            },
+            Topology {
+                replicas: 1,
+                ..SINGLE
+            },
+            Topology { nodes: 2, ..SINGLE },
+        ];
+    }
+    let mut out = Vec::new();
+    for &s in &shards.unwrap_or(vec![1]) {
+        for &r in replicas.as_deref().unwrap_or(&[0]) {
+            for &n in nodes.as_deref().unwrap_or(&[1]) {
+                if r == 0 || n == 1 {
+                    out.push(Topology {
+                        shards: s,
+                        replicas: r,
+                        nodes: n,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The store under test: single-machine or cluster.
+enum Store {
+    Machine(ShardedServer),
+    Cluster(Box<Cluster>),
+}
+
+impl Store {
+    fn format(fabric: &Arc<Fabric>, topo: Topology) -> Store {
+        let layout = StoreLayout::new(2048, 1 << 20, false);
+        let cfg = ServerConfig {
+            clean_enabled: false,
+            ..ServerConfig::default()
+        };
+        if topo.nodes > 1 {
+            let ccfg = ClusterConfig::new(topo.nodes, topo.shards, layout, cfg);
+            Store::Cluster(Box::new(Cluster::format(fabric, ccfg)))
+        } else {
+            let s =
+                ShardedServer::format(fabric, "server", layout, cfg, topo.shards, topo.replicas);
+            Store::Machine(s)
+        }
+    }
+
+    /// Start the store; a cluster also waits for its metadata leader.
+    fn start(&self, fabric: &Arc<Fabric>) {
+        match self {
+            Store::Machine(s) => s.start(fabric),
+            Store::Cluster(c) => {
+                c.start();
+                sim::sleep(sim::millis(1));
+            }
+        }
+    }
+
+    fn desc(&self) -> RouteDesc {
+        match self {
+            Store::Machine(s) => s.desc(),
+            Store::Cluster(c) => c.desc(),
+        }
+    }
+
+    fn stat_sum(&self, pick: impl Fn(&ServerStats) -> &efactory_obs::Counter) -> u64 {
+        match self {
+            Store::Machine(s) => s.stat_sum(pick),
+            Store::Cluster(c) => c.stat_sum(pick),
+        }
+    }
+
+    fn shutdown(&self) {
+        match self {
+            Store::Machine(s) => s.shutdown(),
+            Store::Cluster(c) => c.shutdown(),
+        }
+    }
+}
+
+/// Run the script through a [`PipelinedClient`] with the given window on
+/// `topo`.
+fn run_pipelined(seed: u64, window: usize, plan: Option<FaultPlan>, topo: Topology) -> Outcome {
     let script = gen_script(seed);
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
     if let Some(p) = plan {
         fabric.set_fault_plan(Some(p));
     }
-    let server_node = fabric.add_node("server");
-    let layout = StoreLayout::new(2048, 1 << 20, false);
-    let cfg = ServerConfig {
-        clean_enabled: false,
-        ..ServerConfig::default()
-    };
-    let server = Arc::new(Server::format(&fabric, &server_node, layout, cfg));
+    let server = Arc::new(Store::format(&fabric, topo));
 
     let out: Arc<Mutex<Option<Outcome>>> = Arc::default();
     let out2 = Arc::clone(&out);
@@ -172,8 +301,8 @@ fn run_pipelined(seed: u64, window: usize, plan: Option<FaultPlan>) -> Outcome {
                 ..ClientConfig::default()
             },
         };
-        let mut pc = PipelinedClient::connect(&f, &node, &server_node, desc, pcfg, "pipe")
-            .expect("pipelined connect");
+        let mut pc =
+            PipelinedClient::connect(&f, &node, &desc, pcfg, "pipe").expect("pipelined connect");
         let mut rows: Vec<Option<CompletionRow>> = (0..script.len()).map(|_| None).collect();
         let record = |comps: Vec<efactory::pipeline::OpCompletion>,
                       rows: &mut Vec<Option<CompletionRow>>| {
@@ -206,29 +335,22 @@ fn run_pipelined(seed: u64, window: usize, plan: Option<FaultPlan>) -> Outcome {
         // Heal the fabric for the verification sweep.
         f.set_fault_plan(None);
         let checker_node = f.add_node("checker");
-        let checker = Client::connect(
-            &f,
-            &checker_node,
-            &server_node,
-            desc,
-            ClientConfig::default(),
-        )
-        .expect("checker connect");
+        let checker = RoutedClient::connect(&f, &checker_node, &desc, ClientConfig::default())
+            .expect("checker connect");
         let mut final_state = BTreeMap::new();
         for k in 0..KEYS {
             if let Some(v) = checker.get(&key(k)).expect("verify get") {
                 final_state.insert(key(k), v);
             }
         }
-        let stats = &server2.shared().stats;
         let fs = f.stats();
         *out2.lock().unwrap() = Some(Outcome {
             final_state,
             completions,
             client_counters: obs.registry.snapshot(),
-            server_puts: stats.puts.get(),
-            server_dels: stats.dels.get(),
-            dup_hits: stats.dup_hits.get(),
+            server_puts: server2.stat_sum(|s| &s.puts),
+            server_dels: server2.stat_sum(|s| &s.dels),
+            dup_hits: server2.stat_sum(|s| &s.dup_hits),
             put_reissues: obs.registry.counter("client.put_reissue").get(),
             fault_dropped: fs.fault_dropped.load(std::sync::atomic::Ordering::Relaxed),
             workload_end_ns,
@@ -325,8 +447,8 @@ const SEED: u64 = 0x51DE;
 #[test]
 fn replay_is_byte_identical_per_window() {
     for window in [1usize, 4, 16] {
-        let a = run_pipelined(SEED, window, None);
-        let b = run_pipelined(SEED, window, None);
+        let a = run_pipelined(SEED, window, None, SINGLE);
+        let b = run_pipelined(SEED, window, None, SINGLE);
         assert_eq!(a, b, "window {window}: replay diverged");
     }
 }
@@ -336,7 +458,7 @@ fn replay_is_byte_identical_per_window() {
 #[test]
 fn window_one_is_op_for_op_equivalent_to_legacy_client() {
     let legacy = run_legacy(SEED);
-    let mut w1 = run_pipelined(SEED, 1, None);
+    let mut w1 = run_pipelined(SEED, 1, None, SINGLE);
     let expected = expected_state(&gen_script(SEED));
     assert_eq!(legacy.final_state, expected, "legacy run diverged");
     // The pipeline wrapper adds bookkeeping counters; everything
@@ -345,10 +467,11 @@ fn window_one_is_op_for_op_equivalent_to_legacy_client() {
     assert_eq!(w1, legacy, "window=1 must be op-for-op the plain client");
 }
 
-/// Whatever the window, per-key hazards keep effect order equal to
-/// program order: every window returns the same per-op results (latencies
-/// aside) and the same final state, and pipelining actually overlaps work
-/// (the virtual clock finishes earlier at window 16 than at window 1).
+/// Whatever the window and the topology, per-key hazards keep effect
+/// order equal to program order: every window returns the same per-op
+/// results (latencies aside) and the same final state as the window-1 run
+/// on the same topology, and pipelining actually overlaps work (the
+/// virtual clock finishes earlier at window 16 than at window 1).
 #[test]
 fn all_windows_converge_to_serial_results() {
     let script = gen_script(SEED);
@@ -360,28 +483,30 @@ fn all_windows_converge_to_serial_results() {
             .map(|(kind, key, _lat, payload)| (*kind, key.clone(), payload.clone()))
             .collect::<Vec<_>>()
     };
-    let w1 = run_pipelined(SEED, 1, None);
-    assert_eq!(w1.final_state, expected);
-    let reference = strip_latency(&w1);
-    let mut last_end = w1.workload_end_ns;
-    for window in [4usize, 16] {
-        let o = run_pipelined(SEED, window, None);
-        assert_eq!(o.final_state, expected, "window {window} diverged");
-        assert_eq!(
-            strip_latency(&o),
-            reference,
-            "window {window}: per-op results must match serial execution"
-        );
-        assert_eq!(o.server_puts, puts, "window {window}: dup PUT");
-        assert_eq!(o.server_dels, dels, "window {window}: dup DEL");
-        assert_eq!(o.dup_hits, 0, "clean fabric must not need dedup");
-        assert!(
-            o.workload_end_ns < last_end,
-            "window {window} must overlap work: {} !< {}",
-            o.workload_end_ns,
-            last_end
-        );
-        last_end = o.workload_end_ns;
+    for topo in std::iter::once(SINGLE).chain(topologies()) {
+        let w1 = run_pipelined(SEED, 1, None, topo);
+        assert_eq!(w1.final_state, expected, "{topo:?}: window 1 diverged");
+        let reference = strip_latency(&w1);
+        let mut last_end = w1.workload_end_ns;
+        for window in [4usize, 16] {
+            let o = run_pipelined(SEED, window, None, topo);
+            assert_eq!(o.final_state, expected, "{topo:?} window {window} diverged");
+            assert_eq!(
+                strip_latency(&o),
+                reference,
+                "{topo:?} window {window}: per-op results must match serial execution"
+            );
+            assert_eq!(o.server_puts, puts, "{topo:?} window {window}: dup PUT");
+            assert_eq!(o.server_dels, dels, "{topo:?} window {window}: dup DEL");
+            assert_eq!(o.dup_hits, 0, "{topo:?}: clean fabric must not need dedup");
+            assert!(
+                o.workload_end_ns < last_end,
+                "{topo:?} window {window} must overlap work: {} !< {}",
+                o.workload_end_ns,
+                last_end
+            );
+            last_end = o.workload_end_ns;
+        }
     }
 }
 
@@ -396,7 +521,7 @@ fn pipelined_puts_under_lossy_plan_converge_exactly_once() {
     let (puts, dels) = logical_writes(&script);
     let plan = FaultPlan::chaos(0.04, 0.03, 0.02, sim::micros(3), SEED ^ 0xFA);
     for window in [4usize, 16] {
-        let o = run_pipelined(SEED, window, Some(plan));
+        let o = run_pipelined(SEED, window, Some(plan), SINGLE);
         assert!(
             o.fault_dropped > 0,
             "window {window}: chaos plan never fired: {o:?}"
@@ -412,7 +537,7 @@ fn pipelined_puts_under_lossy_plan_converge_exactly_once() {
         );
         assert_eq!(o.server_dels, dels, "window {window}: dup DEL");
         // And chaos replay stays deterministic with pipelining on.
-        let o2 = run_pipelined(SEED, window, Some(plan));
+        let o2 = run_pipelined(SEED, window, Some(plan), SINGLE);
         assert_eq!(o, o2, "window {window}: chaos replay diverged");
     }
 }

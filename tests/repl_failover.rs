@@ -3,7 +3,7 @@
 //! * **Promoted equivalence**: a client that never observes the failure
 //!   reads the same values from the promoted backup as from a never-failed
 //!   primary.
-//! * **Transparent failover**: a `ReplClient` mid-workload rides through
+//! * **Transparent failover**: a `RoutedClient` mid-workload rides through
 //!   the primary's death — its operations succeed against the promoted
 //!   backup with no application-visible error.
 //! * **Determinism**: two identical replicated runs (fault injection
@@ -13,7 +13,8 @@ use std::sync::Arc;
 
 use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
-use efactory::repl::{ReplClient, ReplicatedServer};
+use efactory::repl::ReplicatedServer;
+use efactory::route::RoutedClient;
 use efactory::server::ServerConfig;
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
@@ -62,7 +63,7 @@ fn read_after_optional_failover(fail: bool, seed: u64) -> Vec<Option<Vec<u8>>> {
             &f,
             &f.add_node("client"),
             server.primary_node(),
-            server.desc().desc,
+            server.primary().desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -141,10 +142,10 @@ fn repl_client_rides_through_primary_death() {
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
         server.start(&f);
-        let c = ReplClient::connect(
+        let c = RoutedClient::connect(
             &f,
             &f.add_node("client"),
-            &server.desc(),
+            &server.seat().into(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -195,46 +196,56 @@ fn replicated_runs_are_byte_identical() {
 
     // A full replicated harness run with mid-window fault injection: same
     // spec twice must produce byte-equal counter snapshots — fabric.*,
-    // repl.*, server.*, everything.
-    let spec = ExperimentSpec {
-        system: SystemKind::EFactory,
-        mix: Mix::A,
-        value_len: 128,
-        key_len: 16,
-        clients: 4,
-        ops_per_client: 80,
-        record_count: 64,
-        seed: 23,
-        cleaning: Cleaning::Disabled,
-        force_clean: false,
-        shards: 1,
-        doorbell_batch: 8,
-        replicas: 1,
-        fault_at: Some(sim::micros(40)),
-        fault_plan: None,
-        scrub: false,
-        window: 1,
-        loc_cache: false,
-        snap_readers: 0,
-        nodes: 1,
-        migrate_at: None,
-        exec: None,
-    };
-    let a = run(&spec);
-    let b = run(&spec);
-    assert_eq!(
-        a.counters, b.counters,
-        "replicated runs with fault injection must replay byte-identically"
-    );
-    let get = |name: &str| {
-        a.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("counter {name} missing from snapshot"))
-    };
-    assert!(get("repl.mirror_objects") >= 64, "preload was not mirrored");
-    assert_eq!(get("repl.promotions"), 1, "fault must promote the backup");
-    assert_eq!(a.total_ops, b.total_ops);
-    assert_eq!(a.elapsed_ns, b.elapsed_ns);
+    // repl.*, server.*, everything. Serial and pipelined clients alike
+    // fail over per shard.
+    for window in [1usize, 16] {
+        let spec = ExperimentSpec {
+            system: SystemKind::EFactory,
+            mix: Mix::A,
+            value_len: 128,
+            key_len: 16,
+            clients: 4,
+            ops_per_client: 80,
+            record_count: 64,
+            seed: 23,
+            cleaning: Cleaning::Disabled,
+            force_clean: false,
+            shards: 1,
+            doorbell_batch: 8,
+            replicas: 1,
+            fault_at: Some(sim::micros(40)),
+            fault_plan: None,
+            scrub: false,
+            window,
+            loc_cache: false,
+            snap_readers: 0,
+            nodes: 1,
+            migrate_at: None,
+            exec: None,
+        };
+        let a = run(&spec);
+        let b = run(&spec);
+        assert_eq!(
+            a.counters, b.counters,
+            "window {window}: replicated runs with fault injection must replay byte-identically"
+        );
+        let get = |name: &str| {
+            a.counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("counter {name} missing from snapshot"))
+        };
+        assert!(
+            get("repl.mirror_objects") >= 64,
+            "window {window}: preload was not mirrored"
+        );
+        assert_eq!(
+            get("repl.promotions"),
+            1,
+            "window {window}: fault must promote the backup"
+        );
+        assert_eq!(a.total_ops, b.total_ops);
+        assert_eq!(a.elapsed_ns, b.elapsed_ns);
+    }
 }

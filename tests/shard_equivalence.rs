@@ -18,8 +18,9 @@ use std::sync::{Arc, Mutex};
 
 use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
+use efactory::route::RoutedClient;
 use efactory::server::{Server, ServerConfig};
-use efactory::shard::{shard_of, ShardedClient, ShardedServer};
+use efactory::shard::{shard_of, ShardedServer};
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim::Sim;
 use proptest::prelude::*;
@@ -136,7 +137,7 @@ impl KvOps for Client {
     }
 }
 
-impl KvOps for ShardedClient {
+impl KvOps for RoutedClient {
     fn op_put(&self, key: &[u8], value: &[u8]) {
         self.put(key, value).unwrap()
     }
@@ -212,9 +213,10 @@ fn replay_sharded(seed: u64, ops: Vec<KvOp>, shards: usize, doorbell: usize) -> 
                 ..ServerConfig::default()
             },
             shards,
+            0,
         );
         server.start(&f);
-        let c = ShardedClient::connect(
+        let c = RoutedClient::connect(
             &f,
             &f.add_node("c"),
             &server.desc(),
