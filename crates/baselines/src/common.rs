@@ -3,8 +3,8 @@
 //! The paper implements SAW, IMM, Erda, and Forca "on the same code base as
 //! eFactory" (§5.3); this module is that code base: the single-pool server
 //! state, object staging, entry linking, and the handler-loop skeleton. The
-//! per-system modules differ only in *when* data is flushed and metadata
-//! exposed — which is exactly the design space the paper explores.
+//! [`Scheme`](crate::Scheme)s differ only in *when* data is flushed and
+//! metadata exposed — which is exactly the design space the paper explores.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

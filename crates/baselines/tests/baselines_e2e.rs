@@ -1,16 +1,13 @@
-//! End-to-end tests of the five comparison systems: functional round trips
+//! End-to-end tests of the comparison schemes: functional round trips
 //! plus the *durability contracts* the paper distinguishes them by.
 
 use std::sync::Arc;
 
 use efactory::log::StoreLayout;
 use efactory_baselines::common::baseline_layout;
-use efactory_baselines::{
-    CaNoperClient, CaNoperServer, ErdaClient, ErdaServer, ForcaClient, ForcaServer, ImmClient,
-    ImmServer, RpcClient, RpcServer, SawClient, SawServer,
-};
-use efactory_pmem::CrashSpec;
-use efactory_rnic::{CostModel, Fabric};
+use efactory_baselines::{BaselineClient, BaselineServer, Scheme};
+use efactory_pmem::{CrashSpec, PmemPool};
+use efactory_rnic::{CostModel, Fabric, Node};
 use efactory_sim as sim;
 use efactory_sim::Sim;
 use rand::rngs::StdRng;
@@ -32,99 +29,95 @@ where
     simu.run().expect_ok();
 }
 
-macro_rules! roundtrip_test {
-    ($name:ident, $server:ident, $client:ident) => {
-        #[test]
-        fn $name() {
-            in_sim(1, |f| {
-                let sn = f.add_node("server");
-                let srv = $server::format(f, &sn, layout());
-                srv.start(f);
-                let cn = f.add_node("client");
-                let c = $client::connect(f, &cn, &sn, srv.desc()).unwrap();
-                // Insert, read, overwrite, read.
-                c.put(b"key-a", b"value-1").unwrap();
-                assert_eq!(c.get(b"key-a").unwrap().as_deref(), Some(&b"value-1"[..]));
-                c.put(b"key-a", b"value-22").unwrap();
-                assert_eq!(c.get(b"key-a").unwrap().as_deref(), Some(&b"value-22"[..]));
-                assert_eq!(c.get(b"absent").unwrap(), None);
-                // A spread of sizes.
-                for (i, size) in [0usize, 1, 63, 64, 1024, 4096].into_iter().enumerate() {
-                    let key = format!("k{i}");
-                    let val = vec![i as u8 + 1; size];
-                    c.put(key.as_bytes(), &val).unwrap();
-                    assert_eq!(c.get(key.as_bytes()).unwrap().as_deref(), Some(&val[..]));
-                }
-                srv.shutdown();
-            });
-        }
-    };
+/// Format and start a `scheme` server on a fresh node; returns the node,
+/// the server, its pool, and one connected client.
+fn start(f: &Arc<Fabric>, scheme: Scheme) -> (Node, BaselineServer, Arc<PmemPool>, BaselineClient) {
+    let sn = f.add_node("server");
+    let srv = BaselineServer::format(scheme, f, &sn, layout());
+    let pool = Arc::clone(&srv.base().pool);
+    srv.start(f);
+    let cn = f.add_node("client");
+    let c = BaselineClient::connect(scheme, f, &cn, &sn, srv.desc()).unwrap();
+    (sn, srv, pool, c)
 }
 
-roundtrip_test!(ca_noper_roundtrip, CaNoperServer, CaNoperClient);
-roundtrip_test!(rpc_roundtrip, RpcServer, RpcClient);
-roundtrip_test!(saw_roundtrip, SawServer, SawClient);
-roundtrip_test!(imm_roundtrip, ImmServer, ImmClient);
-roundtrip_test!(erda_roundtrip, ErdaServer, ErdaClient);
-roundtrip_test!(forca_roundtrip, ForcaServer, ForcaClient);
+/// Crash `sn` with `spec`, restart it, and recover the scheme's server
+/// over `pool`; returns the recovered server and a fresh client.
+fn crash_and_recover(
+    f: &Arc<Fabric>,
+    sn: &Node,
+    scheme: Scheme,
+    pool: Arc<PmemPool>,
+    spec: CrashSpec,
+    seed: u64,
+) -> (BaselineServer, BaselineClient) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    f.crash_node(sn, spec, &mut rng);
+    f.restart_node(sn);
+    let srv = BaselineServer::recover(scheme, f, sn, pool, layout());
+    srv.start(f);
+    let cn = f.add_node("client2");
+    let c = BaselineClient::connect(scheme, f, &cn, sn, srv.desc()).unwrap();
+    (srv, c)
+}
 
-/// SAW and IMM promise durability on PUT ack: an acked write must survive a
-/// worst-case crash.
-macro_rules! durable_on_ack_test {
-    ($name:ident, $server:ident, $client:ident) => {
-        #[test]
-        fn $name() {
-            in_sim(2, |f| {
-                let sn = f.add_node("server");
-                let srv = $server::format(f, &sn, layout());
-                let pool = Arc::clone(&srv.base().pool);
-                srv.start(f);
-                let cn = f.add_node("client");
-                let c = $client::connect(f, &cn, &sn, srv.desc()).unwrap();
-                c.put(b"durable-key", b"durable-value").unwrap();
-                // Crash instantly: every unflushed line dies.
-                let mut rng = StdRng::seed_from_u64(9);
-                f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
-                f.restart_node(&sn);
-                let srv2 = $server::recover(f, &sn, pool, layout());
-                srv2.start(f);
-                let cn2 = f.add_node("client2");
-                let c2 = $client::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+#[test]
+fn every_scheme_roundtrips() {
+    for scheme in Scheme::ALL {
+        in_sim(1, move |f| {
+            let (_, srv, _, c) = start(f, scheme);
+            // Insert, read, overwrite, read.
+            c.put(b"key-a", b"value-1").unwrap();
+            assert_eq!(c.get(b"key-a").unwrap().as_deref(), Some(&b"value-1"[..]));
+            c.put(b"key-a", b"value-22").unwrap();
+            assert_eq!(c.get(b"key-a").unwrap().as_deref(), Some(&b"value-22"[..]));
+            assert_eq!(c.get(b"absent").unwrap(), None, "{scheme:?}");
+            // A spread of sizes.
+            for (i, size) in [0usize, 1, 63, 64, 1024, 4096].into_iter().enumerate() {
+                let key = format!("k{i}");
+                let val = vec![i as u8 + 1; size];
+                c.put(key.as_bytes(), &val).unwrap();
                 assert_eq!(
-                    c2.get(b"durable-key").unwrap().as_deref(),
-                    Some(&b"durable-value"[..]),
-                    "acked PUT lost after crash"
+                    c.get(key.as_bytes()).unwrap().as_deref(),
+                    Some(&val[..]),
+                    "{scheme:?}"
                 );
-                srv2.shutdown();
-            });
-        }
-    };
+            }
+            srv.shutdown();
+        });
+    }
 }
 
-durable_on_ack_test!(saw_put_is_durable_on_ack, SawServer, SawClient);
-durable_on_ack_test!(imm_put_is_durable_on_ack, ImmServer, ImmClient);
-durable_on_ack_test!(rpc_put_is_durable_on_ack, RpcServer, RpcClient);
+/// SAW, IMM and RPC promise durability on PUT ack: an acked write must
+/// survive a worst-case crash.
+#[test]
+fn saw_imm_rpc_puts_are_durable_on_ack() {
+    for scheme in [Scheme::Saw, Scheme::Imm, Scheme::Rpc] {
+        in_sim(2, move |f| {
+            let (sn, _, pool, c) = start(f, scheme);
+            c.put(b"durable-key", b"durable-value").unwrap();
+            // Crash instantly: every unflushed line dies.
+            let (srv2, c2) = crash_and_recover(f, &sn, scheme, pool, CrashSpec::DropAll, 9);
+            assert_eq!(
+                c2.get(b"durable-key").unwrap().as_deref(),
+                Some(&b"durable-value"[..]),
+                "{scheme:?}: acked PUT lost after crash"
+            );
+            srv2.shutdown();
+        });
+    }
+}
 
 /// CA w/o persistence: the motivating hazard — an acked PUT is simply gone
 /// after a crash (metadata pointed at data that never reached media).
 #[test]
 fn ca_noper_loses_acked_puts_on_crash() {
     in_sim(3, |f| {
-        let sn = f.add_node("server");
-        let srv = CaNoperServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
-        srv.start(f);
-        let cn = f.add_node("client");
-        let c = CaNoperClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let scheme = Scheme::CaNoper;
+        let (sn, _, pool, c) = start(f, scheme);
         c.put(b"k", b"acked-but-volatile").unwrap();
         assert!(c.get(b"k").unwrap().is_some(), "readable before crash");
-        let mut rng = StdRng::seed_from_u64(4);
-        f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
-        f.restart_node(&sn);
-        let srv2 = CaNoperServer::recover(f, &sn, pool, layout());
-        srv2.start(f);
-        let cn2 = f.add_node("client2");
-        let c2 = CaNoperClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let (srv2, c2) = crash_and_recover(f, &sn, scheme, pool, CrashSpec::DropAll, 4);
         // Not even the metadata survived (nothing was flushed): key gone.
         assert_eq!(c2.get(b"k").unwrap(), None, "CA w/o persistence kept data?");
         srv2.shutdown();
@@ -136,25 +129,15 @@ fn ca_noper_loses_acked_puts_on_crash() {
 #[test]
 fn erda_crc_fallback_reads_previous_version_after_crash() {
     in_sim(5, |f| {
-        let sn = f.add_node("server");
-        let srv = ErdaServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
-        srv.start(f);
-        let cn = f.add_node("client");
-        let c = ErdaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let scheme = Scheme::Erda;
+        let (sn, _, pool, c) = start(f, scheme);
         c.put(b"k", b"version-one").unwrap();
         // Evict v1's value to media (model "natural eviction" of cold
         // data): Erda relies on this happening eventually.
         pool.flush(0, pool.len());
         c.put(b"k", b"version-TWO").unwrap(); // v2's value stays volatile
 
-        let mut rng = StdRng::seed_from_u64(6);
-        f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
-        f.restart_node(&sn);
-        let srv2 = ErdaServer::recover(f, &sn, pool, layout());
-        srv2.start(f);
-        let cn2 = f.add_node("client2");
-        let c2 = ErdaClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let (srv2, c2) = crash_and_recover(f, &sn, scheme, pool, CrashSpec::DropAll, 6);
         assert_eq!(
             c2.get(b"k").unwrap().as_deref(),
             Some(&b"version-one"[..]),
@@ -172,23 +155,13 @@ fn erda_crc_fallback_reads_previous_version_after_crash() {
 #[test]
 fn erda_reads_are_non_monotonic_across_crashes() {
     in_sim(7, |f| {
-        let sn = f.add_node("server");
-        let srv = ErdaServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
-        srv.start(f);
-        let cn = f.add_node("client");
-        let c = ErdaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let scheme = Scheme::Erda;
+        let (sn, _, pool, c) = start(f, scheme);
         c.put(b"k", b"observed").unwrap();
         // The read SUCCEEDS (CRC passes on the volatile data!).
         assert_eq!(c.get(b"k").unwrap().as_deref(), Some(&b"observed"[..]));
 
-        let mut rng = StdRng::seed_from_u64(8);
-        f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
-        f.restart_node(&sn);
-        let srv2 = ErdaServer::recover(f, &sn, pool, layout());
-        srv2.start(f);
-        let cn2 = f.add_node("client2");
-        let c2 = ErdaClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let (srv2, c2) = crash_and_recover(f, &sn, scheme, pool, CrashSpec::DropAll, 8);
         // ... and after the crash the observed value is gone.
         assert_eq!(
             c2.get(b"k").unwrap(),
@@ -205,22 +178,12 @@ fn erda_reads_are_non_monotonic_across_crashes() {
 #[test]
 fn forca_read_persists_the_value() {
     in_sim(9, |f| {
-        let sn = f.add_node("server");
-        let srv = ForcaServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
-        srv.start(f);
-        let cn = f.add_node("client");
-        let c = ForcaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let scheme = Scheme::Forca;
+        let (sn, _, pool, c) = start(f, scheme);
         c.put(b"k", b"read-persists-me").unwrap();
         assert!(c.get(b"k").unwrap().is_some(), "server verifies + persists");
 
-        let mut rng = StdRng::seed_from_u64(10);
-        f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
-        f.restart_node(&sn);
-        let srv2 = ForcaServer::recover(f, &sn, pool, layout());
-        srv2.start(f);
-        let cn2 = f.add_node("client2");
-        let c2 = ForcaClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let (srv2, c2) = crash_and_recover(f, &sn, scheme, pool, CrashSpec::DropAll, 10);
         assert_eq!(
             c2.get(b"k").unwrap().as_deref(),
             Some(&b"read-persists-me"[..])
@@ -234,20 +197,10 @@ fn forca_read_persists_the_value() {
 #[test]
 fn forca_unread_puts_are_lost_but_never_torn() {
     in_sim(11, |f| {
-        let sn = f.add_node("server");
-        let srv = ForcaServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
-        srv.start(f);
-        let cn = f.add_node("client");
-        let c = ForcaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let scheme = Scheme::Forca;
+        let (sn, _, pool, c) = start(f, scheme);
         c.put(b"k", b"never-read").unwrap();
-        let mut rng = StdRng::seed_from_u64(12);
-        f.crash_node(&sn, CrashSpec::Words(0.5), &mut rng);
-        f.restart_node(&sn);
-        let srv2 = ForcaServer::recover(f, &sn, pool, layout());
-        srv2.start(f);
-        let cn2 = f.add_node("client2");
-        let c2 = ForcaClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let (srv2, c2) = crash_and_recover(f, &sn, scheme, pool, CrashSpec::Words(0.5), 12);
         match c2.get(b"k").unwrap() {
             None => {}                               // torn, detected by CRC
             Some(v) => assert_eq!(v, b"never-read"), // survived eviction
@@ -262,8 +215,9 @@ fn forca_unread_puts_are_lost_but_never_torn() {
 #[test]
 fn erda_concurrent_writers_same_key() {
     in_sim(13, |f| {
+        let scheme = Scheme::Erda;
         let sn = f.add_node("server");
-        let srv = ErdaServer::format(f, &sn, layout());
+        let srv = BaselineServer::format(scheme, f, &sn, layout());
         srv.start(f);
         let mut handles = Vec::new();
         for w in 0..4 {
@@ -272,7 +226,7 @@ fn erda_concurrent_writers_same_key() {
             let desc = srv.desc();
             handles.push(sim::spawn(&format!("w{w}"), move || {
                 let cn = f2.add_node(&format!("cn{w}"));
-                let c = ErdaClient::connect(&f2, &cn, &sn2, desc).unwrap();
+                let c = BaselineClient::connect(scheme, &f2, &cn, &sn2, desc).unwrap();
                 for i in 0..20 {
                     c.put(b"contested", format!("w{w}i{i}xxxxxxxx").as_bytes())
                         .unwrap();
@@ -283,7 +237,7 @@ fn erda_concurrent_writers_same_key() {
             h.join();
         }
         let cn = f.add_node("reader");
-        let c = ErdaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let c = BaselineClient::connect(scheme, f, &cn, &sn, srv.desc()).unwrap();
         let v = c.get(b"contested").unwrap().expect("key must exist");
         assert!(v.starts_with(b"w"), "unexpected value");
         srv.shutdown();

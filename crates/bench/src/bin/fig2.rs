@@ -13,16 +13,16 @@
 use std::sync::{Arc, Mutex};
 
 use efactory_baselines::common::baseline_layout;
-use efactory_baselines::{ErdaClient, ErdaServer, ForcaClient, ForcaServer};
+use efactory_baselines::{BaselineClient, BaselineServer, Scheme};
 use efactory_bench::{scaled_ops, size_label, ReportSink, VALUE_SIZES};
-use efactory_harness::{LatencyStats, Table};
+use efactory_harness::{LatencyStats, SystemKind, Table};
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
 use efactory_sim::{Nanos, Sim};
 use efactory_ycsb::{make_key, make_value};
 
 /// Measure GET-after-PUT latency for one system at one value size.
-fn read_after_write(system: &'static str, value_len: usize, ops: usize) -> LatencyStats {
+fn read_after_write(scheme: Scheme, value_len: usize, ops: usize) -> LatencyStats {
     let mut simu = Sim::new(7);
     let fabric = Fabric::new(CostModel::default());
     let server_node = fabric.add_node("server");
@@ -37,35 +37,17 @@ fn read_after_write(system: &'static str, value_len: usize, ops: usize) -> Laten
     simu.spawn("main", move || {
         let cnode = f2.add_node("client");
         let mut samples = Vec::with_capacity(ops);
-        match system {
-            "Erda" => {
-                let srv = ErdaServer::format(&f2, &server_node, layout);
-                srv.start(&f2);
-                let c = ErdaClient::connect(&f2, &cnode, &server_node, srv.desc()).unwrap();
-                for i in 0..ops {
-                    let key = make_key(32, i as u64);
-                    c.put(&key, &make_value(value_len, i as u64, 1)).unwrap();
-                    let t0 = sim::now();
-                    c.get(&key).unwrap().expect("just written");
-                    samples.push(sim::now() - t0);
-                }
-                srv.shutdown();
-            }
-            "Forca" => {
-                let srv = ForcaServer::format(&f2, &server_node, layout);
-                srv.start(&f2);
-                let c = ForcaClient::connect(&f2, &cnode, &server_node, srv.desc()).unwrap();
-                for i in 0..ops {
-                    let key = make_key(32, i as u64);
-                    c.put(&key, &make_value(value_len, i as u64, 1)).unwrap();
-                    let t0 = sim::now();
-                    c.get(&key).unwrap().expect("just written");
-                    samples.push(sim::now() - t0);
-                }
-                srv.shutdown();
-            }
-            other => panic!("unknown system {other}"),
+        let srv = BaselineServer::format(scheme, &f2, &server_node, layout);
+        srv.start(&f2);
+        let c = BaselineClient::connect(scheme, &f2, &cnode, &server_node, srv.desc()).unwrap();
+        for i in 0..ops {
+            let key = make_key(32, i as u64);
+            c.put(&key, &make_value(value_len, i as u64, 1)).unwrap();
+            let t0 = sim::now();
+            c.get(&key).unwrap().expect("just written");
+            samples.push(sim::now() - t0);
         }
+        srv.shutdown();
         *lat2.lock().unwrap() = samples;
     });
     simu.run().expect_ok();
@@ -86,14 +68,15 @@ fn main() {
         "other (us)",
         "crc share",
     ]);
-    for system in ["Erda", "Forca"] {
+    for system in [SystemKind::Erda, SystemKind::Forca] {
+        let scheme = system.scheme().expect("a baseline");
         for &size in &VALUE_SIZES {
-            let stats = read_after_write(system, size, ops);
-            sink.add_latency(&format!("{}/{}", system, size_label(size)), &stats);
+            let stats = read_after_write(scheme, size, ops);
+            sink.add_latency(&format!("{}/{}", system.label(), size_label(size)), &stats);
             let total = stats.p50_us();
             let crc = cost.crc(size) as f64 / 1000.0;
             table.row(vec![
-                system.to_string(),
+                system.label().to_string(),
                 size_label(size),
                 format!("{total:.2}"),
                 format!("{crc:.2}"),

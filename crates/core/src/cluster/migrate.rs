@@ -300,12 +300,15 @@ impl Cluster {
         self.clear_pending_abort();
         self.stats().migrations_started.inc();
 
-        // Destination scaffolding: fresh pool, a listener so QPs (the
+        // Destination scaffolding: fresh pool (counted under the
+        // destination seat's prefix), a listener so QPs (the
         // delta mirror's and the driver's) can connect, and a
         // registration covering the whole pool. Offsets line up 1:1 with
         // the source — both pools share one layout.
         let dest_node: Node = self.seat_node(to, shard).clone();
+        let dest_prefix = format!("{}.", Cluster::seat_name(to, shard));
         let dest_pool = Arc::new(PmemPool::new(cfg.layout.total_len()));
+        dest_pool.attach_obs(&cfg.server.obs, &dest_prefix);
         let _dest_listener = dest_node.listen_with(self.fabric(), false, 0);
         let dest_mr = dest_node.register_mr(&dest_pool, 0, cfg.layout.total_len());
         // Park the pool in the cluster: it is the destination machine's
@@ -480,7 +483,7 @@ impl Cluster {
         // Step 6: adopt — ordinary recovery over the copied pool, then
         // start serving (replaces the driver's scaffolding listener).
         let mut dest_cfg = cfg.server.clone();
-        dest_cfg.counter_prefix = format!("{}.", Cluster::seat_name(to, shard));
+        dest_cfg.counter_prefix = dest_prefix;
         let (dest_server, recovery_report) = recovery::recover(
             self.fabric(),
             &dest_node,

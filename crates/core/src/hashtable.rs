@@ -26,7 +26,7 @@
 //! read is always one contiguous RDMA read.
 //!
 //! The comparison systems reuse this structure; Erda reinterprets slot 0 as
-//! its packed 8-byte atomic region (see `efactory_baselines::erda`).
+//! its packed 8-byte atomic region (see `efactory_baselines::common::atomic_region`).
 //!
 //! **Concurrency discipline**: server-side mutators touch multiple words,
 //! which is only safe because every mutation sequence runs without an

@@ -202,6 +202,7 @@ impl ReplicatedServer {
         let primary = Server::format(fabric, node, layout, cfg.clone());
         let backup_node = fabric.add_node(&format!("{}-backup", node.name()));
         let backup_pool = Arc::new(PmemPool::new(layout.total_len()));
+        backup_pool.attach_obs(&cfg.obs, &format!("{}backup.", cfg.counter_prefix));
         let backup_mr = backup_node.register_mr(&backup_pool, 0, layout.total_len());
         let stats = Arc::new(ReplStats::default());
         stats.register_prefixed(&cfg.obs.registry, &cfg.counter_prefix);

@@ -486,9 +486,12 @@ pub struct Server {
 
 impl Server {
     /// Create a fresh (formatted) store on `node`, registering the NVM
-    /// region on the fabric.
+    /// region on the fabric. The new pool's counters land in `cfg.obs`
+    /// under the server's counter prefix, and its device events in
+    /// `cfg.obs.tracer`.
     pub fn format(fabric: &Fabric, node: &Node, layout: StoreLayout, cfg: ServerConfig) -> Server {
         let pool = Arc::new(PmemPool::new(layout.total_len()));
+        pool.attach_obs(&cfg.obs, &cfg.counter_prefix);
         Self::with_pool(fabric, node, pool, layout, cfg)
     }
 

@@ -11,16 +11,11 @@ use efactory::log::StoreLayout;
 use efactory::pipeline::{OpCompletion, OpKind, PipelineConfig, PipelinedClient};
 use efactory::protocol::{Status, StoreError};
 use efactory::route::{RouteDesc, RoutedClient};
-use efactory::server::{ServerConfig, ServerShared, ServerStats, StoreDesc};
+use efactory::server::{CleanPhase, ServerConfig, ServerShared, ServerStats, StoreDesc};
 use efactory::shard::ShardedServer;
 use efactory::TxnKv;
-use efactory_baselines::common::BaseServer;
-use efactory_baselines::{
-    CaNoperClient, CaNoperServer, ErdaClient, ErdaServer, ForcaClient, ForcaServer, ImmClient,
-    ImmServer, RpcClient, RpcServer, SawClient, SawServer,
-};
+use efactory_baselines::{BaselineClient, BaselineServer, Scheme};
 use efactory_obs::{Breakdown, FoldConfig, Obs, Subsystem};
-use efactory_pmem::PmemPool;
 use efactory_rnic::{CostModel, Fabric, FaultPlan, Node};
 use efactory_sim as sim;
 use efactory_sim::{Nanos, Sim};
@@ -74,6 +69,19 @@ impl SystemKind {
             SystemKind::Erda,
             SystemKind::Forca,
         ]
+    }
+
+    /// The comparison scheme this system runs, or `None` for eFactory.
+    pub fn scheme(self) -> Option<Scheme> {
+        match self {
+            SystemKind::EFactory | SystemKind::EFactoryNoHr => None,
+            SystemKind::Saw => Some(Scheme::Saw),
+            SystemKind::Imm => Some(Scheme::Imm),
+            SystemKind::Erda => Some(Scheme::Erda),
+            SystemKind::Forca => Some(Scheme::Forca),
+            SystemKind::CaNoper => Some(Scheme::CaNoper),
+            SystemKind::Rpc => Some(Scheme::Rpc),
+        }
     }
 }
 
@@ -272,12 +280,8 @@ enum AnyServer {
     Ef(ShardedServer),
     /// Multi-node eFactory cluster.
     EfCluster(Cluster),
-    Saw(SawServer),
-    Imm(ImmServer),
-    Erda(ErdaServer),
-    Forca(ForcaServer),
-    CaNoper(CaNoperServer),
-    Rpc(RpcServer),
+    /// One of the comparison systems.
+    Baseline(BaselineServer),
 }
 
 impl AnyServer {
@@ -285,10 +289,7 @@ impl AnyServer {
         match self {
             AnyServer::Ef(s) => AnyDesc::Ef(s.desc()),
             AnyServer::EfCluster(c) => AnyDesc::Ef(c.desc()),
-            other => {
-                let base = other.base();
-                AnyDesc::Baseline(base.node.clone(), base.desc())
-            }
+            AnyServer::Baseline(s) => AnyDesc::Baseline(s.base().node.clone(), s.desc()),
         }
     }
 
@@ -296,12 +297,7 @@ impl AnyServer {
         match self {
             AnyServer::Ef(s) => s.start(fabric),
             AnyServer::EfCluster(c) => c.start(),
-            AnyServer::Saw(s) => s.start(fabric),
-            AnyServer::Imm(s) => s.start(fabric),
-            AnyServer::Erda(s) => s.start(fabric),
-            AnyServer::Forca(s) => s.start(fabric),
-            AnyServer::CaNoper(s) => s.start(fabric),
-            AnyServer::Rpc(s) => s.start(fabric),
+            AnyServer::Baseline(s) => s.start(fabric),
         }
     }
 
@@ -309,7 +305,7 @@ impl AnyServer {
         match self {
             AnyServer::Ef(s) => s.shutdown(),
             AnyServer::EfCluster(c) => c.shutdown(),
-            other => other.base().shutdown(),
+            AnyServer::Baseline(s) => s.shutdown(),
         }
     }
 
@@ -318,22 +314,7 @@ impl AnyServer {
         match self {
             AnyServer::Ef(s) => s.stat_sum(pick),
             AnyServer::EfCluster(c) => c.stat_sum(pick),
-            other => pick(&other.base().stats).get(),
-        }
-    }
-
-    /// The shared state of a baseline server.
-    fn base(&self) -> &BaseServer {
-        match self {
-            AnyServer::Ef(_) | AnyServer::EfCluster(_) => {
-                unreachable!("eFactory stores are not baselines")
-            }
-            AnyServer::Saw(s) => s.base(),
-            AnyServer::Imm(s) => s.base(),
-            AnyServer::Erda(s) => s.base(),
-            AnyServer::Forca(s) => s.base(),
-            AnyServer::CaNoper(s) => s.base(),
-            AnyServer::Rpc(s) => s.base(),
+            AnyServer::Baseline(s) => pick(&s.base().stats).get(),
         }
     }
 
@@ -346,41 +327,14 @@ impl AnyServer {
         }
     }
 
-    /// Attach server + pool counters (per-shard prefixed for a sharded
-    /// store) and the pmem tracer to the run's observability context.
-    /// eFactory servers register their server counters at construction
-    /// through `cfg.obs`; baselines share the same `ServerStats` type and
-    /// attach here.
+    /// Attach a baseline's server + pool counters and the pmem tracer to
+    /// the run's observability context. eFactory stores register theirs
+    /// where each server and pool is created, through `cfg.obs`.
     fn attach_obs(&self, obs: &Obs) {
-        let attach = |pool: &PmemPool, prefix: &str| {
-            pool.stats().register_prefixed(&obs.registry, prefix);
-            pool.set_tracer(obs.tracer.clone());
-        };
-        match self {
-            AnyServer::Ef(s) => {
-                for i in 0..s.shards() {
-                    let prefix = if s.shards() > 1 {
-                        format!("shard{i}.")
-                    } else {
-                        String::new()
-                    };
-                    attach(&s.shard(i).shared().pool, &prefix);
-                    if let Some(r) = s.replicated(i) {
-                        attach(r.backup_pool(), &format!("{prefix}backup."));
-                    }
-                }
-            }
-            AnyServer::EfCluster(c) => {
-                for g in 0..c.config().shards {
-                    let prefix = format!("{}.", Cluster::seat_name(c.owner_of(g), g));
-                    attach(&c.shard_pool(g), &prefix);
-                }
-            }
-            other => {
-                let base = other.base();
-                base.stats.register(&obs.registry);
-                attach(&base.pool, "");
-            }
+        if let AnyServer::Baseline(s) = self {
+            let base = s.base();
+            base.stats.register(&obs.registry);
+            base.pool.attach_obs(obs, "");
         }
     }
 }
@@ -411,17 +365,9 @@ fn build_server(
         1.3,
         false,
     );
-    if !is_efactory(spec.system) {
+    if let Some(scheme) = spec.system.scheme() {
         let node = fabric.add_node("server");
-        return match spec.system {
-            SystemKind::EFactory | SystemKind::EFactoryNoHr => unreachable!(),
-            SystemKind::Saw => AnyServer::Saw(SawServer::format(fabric, &node, sized)),
-            SystemKind::Imm => AnyServer::Imm(ImmServer::format(fabric, &node, sized)),
-            SystemKind::Erda => AnyServer::Erda(ErdaServer::format(fabric, &node, sized)),
-            SystemKind::Forca => AnyServer::Forca(ForcaServer::format(fabric, &node, sized)),
-            SystemKind::CaNoper => AnyServer::CaNoper(CaNoperServer::format(fabric, &node, sized)),
-            SystemKind::Rpc => AnyServer::Rpc(RpcServer::format(fabric, &node, sized)),
-        };
+        return AnyServer::Baseline(BaselineServer::format(scheme, fabric, &node, sized));
     }
     let (layout, mut cfg) = match spec.cleaning {
         Cleaning::Disabled => (
@@ -466,15 +412,11 @@ fn build_server(
     ))
 }
 
-fn is_efactory(system: SystemKind) -> bool {
-    matches!(system, SystemKind::EFactory | SystemKind::EFactoryNoHr)
-}
-
 /// Reject every combination the harness cannot run, up front, with one
 /// message each.
 fn check_supported(spec: &ExperimentSpec) {
     let system = spec.system;
-    if !is_efactory(system) {
+    if system.scheme().is_some() {
         assert_eq!(spec.shards, 1, "{system:?} does not support sharding");
         assert_eq!(spec.nodes, 1, "{system:?} does not support multi-node");
         assert_eq!(spec.replicas, 0, "{system:?} does not support replication");
@@ -515,7 +457,7 @@ fn check_supported(spec: &ExperimentSpec) {
 /// A connected workload client.
 enum Conn {
     /// A baseline's plain KV client.
-    Baseline(Box<dyn RemoteKv>),
+    Baseline(Box<BaselineClient>),
     /// The serial eFactory client, on any topology.
     Ef(RoutedClient),
     /// `window > 1`: up to `window` eFactory operations in flight.
@@ -551,46 +493,32 @@ fn connect(
     window: usize,
     name: &str,
 ) -> Conn {
-    let connected =
-        match desc {
-            AnyDesc::Baseline(node, d) => {
-                let (node, d) = (node, *d);
-                match spec.system {
-                    SystemKind::EFactory | SystemKind::EFactoryNoHr => unreachable!(),
-                    SystemKind::Saw => SawClient::connect(fabric, local, node, d)
-                        .map(|c| Conn::Baseline(Box::new(c))),
-                    SystemKind::Imm => ImmClient::connect(fabric, local, node, d)
-                        .map(|c| Conn::Baseline(Box::new(c))),
-                    SystemKind::Erda => ErdaClient::connect(fabric, local, node, d)
-                        .map(|c| Conn::Baseline(Box::new(c))),
-                    SystemKind::Forca => ForcaClient::connect(fabric, local, node, d)
-                        .map(|c| Conn::Baseline(Box::new(c))),
-                    SystemKind::CaNoper => CaNoperClient::connect(fabric, local, node, d)
-                        .map(|c| Conn::Baseline(Box::new(c))),
-                    SystemKind::Rpc => RpcClient::connect(fabric, local, node, d)
-                        .map(|c| Conn::Baseline(Box::new(c))),
-                }
-            }
-            AnyDesc::Ef(route) => {
-                let cfg = ClientConfig {
-                    hybrid_read: spec.system == SystemKind::EFactory,
-                    loc_cache: spec.loc_cache,
-                    obs: obs.clone(),
-                    ..ClientConfig::default()
+    let connected = match desc {
+        AnyDesc::Baseline(node, d) => {
+            let scheme = spec.system.scheme().expect("a baseline descriptor");
+            BaselineClient::connect(scheme, fabric, local, node, *d)
+                .map(|c| Conn::Baseline(Box::new(c)))
+        }
+        AnyDesc::Ef(route) => {
+            let cfg = ClientConfig {
+                hybrid_read: spec.system == SystemKind::EFactory,
+                loc_cache: spec.loc_cache,
+                obs: obs.clone(),
+                ..ClientConfig::default()
+            };
+            if window > 1 {
+                let pcfg = PipelineConfig {
+                    window,
+                    doorbell_batch: spec.doorbell_batch,
+                    client: cfg,
                 };
-                if window > 1 {
-                    let pcfg = PipelineConfig {
-                        window,
-                        doorbell_batch: spec.doorbell_batch,
-                        client: cfg,
-                    };
-                    PipelinedClient::connect(fabric, local, route, pcfg, name)
-                        .map(|pc| Conn::Pipelined(Box::new(pc)))
-                } else {
-                    RoutedClient::connect(fabric, local, route, cfg).map(Conn::Ef)
-                }
+                PipelinedClient::connect(fabric, local, route, pcfg, name)
+                    .map(|pc| Conn::Pipelined(Box::new(pc)))
+            } else {
+                RoutedClient::connect(fabric, local, route, cfg).map(Conn::Ef)
             }
-        };
+        }
+    };
     connected.unwrap_or_else(|e| panic!("{}: client connect failed: {e}", spec.system.label()))
 }
 
@@ -811,7 +739,7 @@ fn run_inner(
         }
         // Let eFactory's verifier(s) drain so measurement starts from a
         // clean, fully durable store (bounded wait).
-        if is_efactory(spec2.system) {
+        if spec2.system.scheme().is_none() {
             let deadline = sim::now() + sim::millis(500);
             while server2.stat_sum(|s| &s.bg_verified) + server2.stat_sum(|s| &s.bg_timeouts)
                 < spec2.record_count
@@ -835,9 +763,14 @@ fn run_inner(
         }
 
         // ---- measured clients ----------------------------------------------
+        // Each shard with a forced pass, and its completed-pass count when
+        // the pass was requested.
+        let mut forced = Vec::new();
         if spec2.force_clean {
             for shared in server2.ef_shared() {
                 shared.clean_request.store(true, Ordering::Relaxed);
+                let done = shared.stats.cleanings.get();
+                forced.push((shared, done));
             }
         }
         let t_start = sim::now();
@@ -959,6 +892,18 @@ fn run_inner(
         }
         if let Some(h) = migrator {
             h.join();
+        }
+        // Likewise let a forced cleaning pass finish instead of racing the
+        // teardown (bounded wait): on YCSB-C it outlasts the clients. It
+        // has ended once its request was taken and either a pass has
+        // completed since or none is running.
+        let deadline = sim::now() + sim::millis(500);
+        while forced.iter().any(|(shared, done)| {
+            shared.clean_request.load(Ordering::Relaxed)
+                || (shared.stats.cleanings.get() == *done && shared.phase() != CleanPhase::Normal)
+        }) && sim::now() < deadline
+        {
+            sim::sleep(sim::micros(200));
         }
         window2.lock().unwrap().1 = collected2.lock().unwrap().end;
         server2.shutdown();

@@ -41,7 +41,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use efactory_obs::{Counter, Registry, Subsystem, Tracer};
+use efactory_obs::{Counter, Obs, Registry, Subsystem, Tracer};
 use rand::Rng;
 
 /// Cache-line size: flush and crash granularity for line-level decisions.
@@ -256,6 +256,13 @@ impl PmemPool {
     /// recorded under [`Subsystem::Pmem`].
     pub fn set_tracer(&self, tracer: Tracer) {
         *self.tracer.lock().unwrap() = Some(tracer);
+    }
+
+    /// Register this pool's counters in `obs.registry` under
+    /// `{prefix}pmem.*` names and record its device events in `obs.tracer`.
+    pub fn attach_obs(&self, obs: &Obs, prefix: &str) {
+        self.stats.register_prefixed(&obs.registry, prefix);
+        self.set_tracer(obs.tracer.clone());
     }
 
     #[inline]

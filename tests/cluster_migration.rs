@@ -616,6 +616,9 @@ fn pipelined_clients_retarget_across_live_migration() {
         get("cluster.client.retargets") > 0,
         "the window must have seen the placement flip"
     );
+    // The destination pool is counted too: writes to shard 0 after the
+    // move land in its seat's pmem counters.
+    assert!(get("n1.g0.pmem.bytes_written") > 0);
 }
 
 #[test]

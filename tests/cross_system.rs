@@ -6,19 +6,21 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use efactory::client::RemoteKv;
+use efactory_baselines::Scheme;
 use efactory_harness::{cluster, Cleaning, ExperimentSpec, SystemKind};
 use efactory_sim::Sim;
 use efactory_ycsb::{Mix, Op, OpStream, WorkloadConfig};
 
-/// Replay one deterministic YCSB-A stream through a system and collect
-/// every GET result.
+/// Every GET result of a replay, in order.
 type ReadLog = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
-fn replay(system: SystemKind) -> ReadLog {
+/// Replay one deterministic YCSB-A stream through a baseline scheme (or
+/// eFactory, for `None`) and collect every GET result.
+fn replay(scheme: Option<Scheme>) -> ReadLog {
     use efactory::log::StoreLayout;
     use efactory::server::{Server, ServerConfig};
     use efactory_baselines::common::baseline_layout;
-    use efactory_baselines::*;
+    use efactory_baselines::{BaselineClient, BaselineServer};
     use efactory_rnic::{CostModel, Fabric};
 
     let mut simu = Sim::new(5);
@@ -28,9 +30,8 @@ fn replay(system: SystemKind) -> ReadLog {
     let out2 = Arc::clone(&out);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        let layout = baseline_layout(1024, 4 << 20);
-        let (kv, shutdown): (Box<dyn RemoteKv>, Box<dyn Fn()>) = match system {
-            SystemKind::EFactory => {
+        let (kv, shutdown): (Box<dyn RemoteKv>, Box<dyn Fn()>) = match scheme {
+            None => {
                 let srv = Server::format(
                     &f,
                     &server_node,
@@ -48,39 +49,15 @@ fn replay(system: SystemKind) -> ReadLog {
                 .unwrap();
                 (Box::new(c), Box::new(move || srv.shutdown()))
             }
-            SystemKind::Saw => {
-                let srv = SawServer::format(&f, &server_node, layout);
+            Some(scheme) => {
+                let layout = baseline_layout(1024, 4 << 20);
+                let srv = BaselineServer::format(scheme, &f, &server_node, layout);
                 srv.start(&f);
-                let c = SawClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
-                (Box::new(c), Box::new(move || srv.shutdown()))
-            }
-            SystemKind::Imm => {
-                let srv = ImmServer::format(&f, &server_node, layout);
-                srv.start(&f);
-                let c = ImmClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
-                (Box::new(c), Box::new(move || srv.shutdown()))
-            }
-            SystemKind::Erda => {
-                let srv = ErdaServer::format(&f, &server_node, layout);
-                srv.start(&f);
+                let cnode = f.add_node("c");
                 let c =
-                    ErdaClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
+                    BaselineClient::connect(scheme, &f, &cnode, &server_node, srv.desc()).unwrap();
                 (Box::new(c), Box::new(move || srv.shutdown()))
             }
-            SystemKind::Forca => {
-                let srv = ForcaServer::format(&f, &server_node, layout);
-                srv.start(&f);
-                let c =
-                    ForcaClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
-                (Box::new(c), Box::new(move || srv.shutdown()))
-            }
-            SystemKind::Rpc => {
-                let srv = RpcServer::format(&f, &server_node, layout);
-                srv.start(&f);
-                let c = RpcClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
-                (Box::new(c), Box::new(move || srv.shutdown()))
-            }
-            other => panic!("not in this test: {other:?}"),
         };
         let results = drive_stream(kv.as_ref());
         shutdown();
@@ -164,24 +141,18 @@ fn replay_sharded(shards: usize, doorbell: usize) -> ReadLog {
 
 #[test]
 fn all_systems_agree_on_failure_free_reads() {
-    let reference = replay(SystemKind::EFactory);
+    let reference = replay(None);
     assert!(!reference.is_empty());
-    for system in [
-        SystemKind::Saw,
-        SystemKind::Imm,
-        SystemKind::Erda,
-        SystemKind::Forca,
-        SystemKind::Rpc,
-    ] {
-        let got = replay(system);
+    for scheme in Scheme::ALL {
+        let got = replay(Some(scheme));
         assert_eq!(
             got.len(),
             reference.len(),
-            "{system:?}: different op interleaving?"
+            "{scheme:?}: different op interleaving?"
         );
         for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
-            assert_eq!(r.0, g.0, "{system:?}: op {i} reads different key");
-            assert_eq!(r.1, g.1, "{system:?}: op {i} value mismatch");
+            assert_eq!(r.0, g.0, "{scheme:?}: op {i} reads different key");
+            assert_eq!(r.1, g.1, "{scheme:?}: op {i} value mismatch");
         }
     }
 }
@@ -200,7 +171,7 @@ fn sharded_efactory_converges_with_all_systems() {
             .collect(),
         Err(_) => vec![1, 2, 4, 8],
     };
-    let reference = replay(SystemKind::EFactory);
+    let reference = replay(None);
     assert!(!reference.is_empty());
     for shards in shard_counts {
         for doorbell in [0usize, 16] {

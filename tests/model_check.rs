@@ -16,10 +16,7 @@ use efactory::client::{Client, ClientConfig, RemoteKv};
 use efactory::log::StoreLayout;
 use efactory::server::{Server, ServerConfig};
 use efactory_baselines::common::baseline_layout;
-use efactory_baselines::{
-    ErdaClient, ErdaServer, ForcaClient, ForcaServer, ImmClient, ImmServer, RpcClient, RpcServer,
-    SawClient, SawServer,
-};
+use efactory_baselines::{BaselineClient, BaselineServer, Scheme};
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim::Sim;
 use proptest::prelude::*;
@@ -111,51 +108,71 @@ proptest! {
     }
 }
 
-/// The same sequential-model property for every baseline (fixed random
+/// The same sequential-model property for a baseline scheme (fixed random
 /// sequences; baselines lack DELETE so only PUT/GET).
-macro_rules! baseline_model_test {
-    ($name:ident, $server:ident, $client:ident) => {
-        #[test]
-        fn $name() {
-            for seed in 0..4u64 {
-                let mut simu = Sim::new(seed);
-                let fabric = Fabric::new(CostModel::zero());
-                let server_node = fabric.add_node("server");
-                let f = Arc::clone(&fabric);
-                simu.spawn("main", move || {
-                    let srv = $server::format(&f, &server_node, baseline_layout(256, 1 << 20));
-                    srv.start(&f);
-                    let cnode = f.add_node("client");
-                    let c = $client::connect(&f, &cnode, &server_node, srv.desc()).unwrap();
-                    let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-                    let mut rng = StdRng::seed_from_u64(seed * 1000 + 1);
-                    for _ in 0..120 {
-                        let k = key_bytes(rng.gen_range(0..12u8));
-                        if rng.gen_bool(0.5) {
-                            let v: Vec<u8> = (0..rng.gen_range(0..48)).map(|_| rng.gen()).collect();
-                            c.kv_put(&k, &v).unwrap();
-                            model.insert(k, v);
-                        } else {
-                            assert_eq!(
-                                c.kv_get(&k).unwrap(),
-                                model.get(&k).cloned(),
-                                "seed {seed}"
-                            );
-                        }
-                    }
-                    srv.shutdown();
-                });
-                simu.run().expect_ok();
+fn check_baseline_against_model(scheme: Scheme) {
+    for seed in 0..4u64 {
+        let mut simu = Sim::new(seed);
+        let fabric = Fabric::new(CostModel::zero());
+        let server_node = fabric.add_node("server");
+        let f = Arc::clone(&fabric);
+        simu.spawn("main", move || {
+            let layout = baseline_layout(256, 1 << 20);
+            let srv = BaselineServer::format(scheme, &f, &server_node, layout);
+            srv.start(&f);
+            let cnode = f.add_node("client");
+            let c = BaselineClient::connect(scheme, &f, &cnode, &server_node, srv.desc()).unwrap();
+            let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+            let mut rng = StdRng::seed_from_u64(seed * 1000 + 1);
+            for _ in 0..120 {
+                let k = key_bytes(rng.gen_range(0..12u8));
+                if rng.gen_bool(0.5) {
+                    let v: Vec<u8> = (0..rng.gen_range(0..48)).map(|_| rng.gen()).collect();
+                    c.kv_put(&k, &v).unwrap();
+                    model.insert(k, v);
+                } else {
+                    assert_eq!(
+                        c.kv_get(&k).unwrap(),
+                        model.get(&k).cloned(),
+                        "{scheme:?} seed {seed}"
+                    );
+                }
             }
-        }
-    };
+            srv.shutdown();
+        });
+        simu.run().expect_ok();
+    }
 }
 
-baseline_model_test!(saw_matches_model, SawServer, SawClient);
-baseline_model_test!(imm_matches_model, ImmServer, ImmClient);
-baseline_model_test!(erda_matches_model, ErdaServer, ErdaClient);
-baseline_model_test!(forca_matches_model, ForcaServer, ForcaClient);
-baseline_model_test!(rpc_matches_model, RpcServer, RpcClient);
+#[test]
+fn saw_matches_model() {
+    check_baseline_against_model(Scheme::Saw);
+}
+
+#[test]
+fn imm_matches_model() {
+    check_baseline_against_model(Scheme::Imm);
+}
+
+#[test]
+fn erda_matches_model() {
+    check_baseline_against_model(Scheme::Erda);
+}
+
+#[test]
+fn forca_matches_model() {
+    check_baseline_against_model(Scheme::Forca);
+}
+
+#[test]
+fn ca_noper_matches_model() {
+    check_baseline_against_model(Scheme::CaNoper);
+}
+
+#[test]
+fn rpc_matches_model() {
+    check_baseline_against_model(Scheme::Rpc);
+}
 
 /// Concurrent eFactory clients over a shared keyspace: every GET must
 /// return a value some client wrote for that key (or None before any

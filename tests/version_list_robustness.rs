@@ -21,7 +21,7 @@ use efactory::log::StoreLayout;
 use efactory::recovery;
 use efactory::server::{Server, ServerConfig};
 use efactory_baselines::common::baseline_layout;
-use efactory_baselines::{ErdaClient, ErdaServer};
+use efactory_baselines::{BaselineClient, BaselineServer, Scheme};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -37,10 +37,12 @@ fn erda_loses_key_when_both_tracked_versions_are_torn() {
     let layout = baseline_layout(256, 1 << 20);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        let srv = ErdaServer::format(&f, &server_node, layout);
+        let srv = BaselineServer::format(Scheme::Erda, &f, &server_node, layout);
         let pool = Arc::clone(&srv.base().pool);
         srv.start(&f);
-        let c = ErdaClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
+        let cnode = f.add_node("c");
+        let c =
+            BaselineClient::connect(Scheme::Erda, &f, &cnode, &server_node, srv.desc()).unwrap();
         // v1: durable (flush everything, modeling eviction of cold data).
         // Values span many cache lines so a neighbour's header flush cannot
         // accidentally persist a whole value.
@@ -56,9 +58,11 @@ fn erda_loses_key_when_both_tracked_versions_are_torn() {
         let mut rng = StdRng::seed_from_u64(1);
         f.crash_node(&server_node, CrashSpec::DropAll, &mut rng);
         f.restart_node(&server_node);
-        let srv2 = ErdaServer::recover(&f, &server_node, pool, layout);
+        let srv2 = BaselineServer::recover(Scheme::Erda, &f, &server_node, pool, layout);
         srv2.start(&f);
-        let c2 = ErdaClient::connect(&f, &f.add_node("c2"), &server_node, srv2.desc()).unwrap();
+        let cnode2 = f.add_node("c2");
+        let c2 =
+            BaselineClient::connect(Scheme::Erda, &f, &cnode2, &server_node, srv2.desc()).unwrap();
         // The 8-byte region tracks only (v3, v2) — both torn. v1 exists in
         // NVM but Erda cannot reach it: the durable value is LOST.
         assert_eq!(
