@@ -9,10 +9,11 @@
 //!   service) is drift-banded at ±10%. Routing through the epoch-tagged
 //!   placement map must not regress against the committed trajectory.
 //! * **Migration-window throughput** — the same 2-node run with shard 0
-//!   live-migrated mid-window stays in band: the copy/delta/verify
-//!   stream runs off the client critical path.
+//!   live-migrated mid-window stays in band: the copy and the
+//!   fixup/verify passes run off the client critical path.
 //! * **Migration tail ceiling (hard)** — client p99.9 during the
-//!   migrated run may inflate to at most [`gate`] `MIGRATE_P999_CEILING_X`
+//!   migrated run may inflate to at most
+//!   [`MIGRATE_P999_CEILING_X`](efactory_bench::gate::MIGRATE_P999_CEILING_X)
 //!   × the quiescent run's p99.9, regardless of what the baseline says.
 //!   The seal→flip window is the only stretch where client ops stall, so
 //!   the tail is where a migration that blocks too long shows up first.

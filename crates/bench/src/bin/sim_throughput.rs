@@ -12,10 +12,12 @@
 //!   executors and hosts). Drift means the workload→event mapping
 //!   changed, which silently re-scales every wall-clock number.
 //! * **Throughput floor (hard)** — events/wall-second at the 1M-record
-//!   point must clear [`gate`] `SIM_EPS_FLOOR` regardless of baseline: a
-//!   wedged or accidentally-quadratic executor fails fast.
+//!   point must clear
+//!   [`SIM_EPS_FLOOR`](efactory_bench::gate::SIM_EPS_FLOOR) regardless
+//!   of baseline: a wedged or accidentally-quadratic executor fails fast.
 //! * **Fiber speedup floor (hard)** — the fiber executor must hold ≥
-//!   [`gate`] `SIM_SPEEDUP_FLOOR` × the thread executor's events/second,
+//!   [`SIM_SPEEDUP_FLOOR`](efactory_bench::gate::SIM_SPEEDUP_FLOOR) × the
+//!   thread executor's events/second,
 //!   measured back-to-back on the same host at the 1M-record point
 //!   (same-host ratio, so CI hardware variance cancels out).
 //!

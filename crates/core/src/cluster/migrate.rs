@@ -4,39 +4,33 @@
 //! # Protocol (the migration state machine)
 //!
 //! 1. **Start** — `MigrateStart{shard, to}` is committed through the
-//!    metadata log (rejected if a migration is already in flight, the
+//!    metadata service (rejected if a migration is already in flight, the
 //!    destination is down, or it already owns the shard). Ownership does
 //!    NOT change yet; the source keeps serving.
-//! 2. **Attach** — the driver parks a delta-stream target in the source
-//!    server's [`MigrateSlot`](crate::server::MigrateSlot); the source's
-//!    *verifier* (the replication point, exactly as in [`crate::repl`])
-//!    connects a [`Mirror`](crate::repl::Mirror) to the destination pool
-//!    and acks with its cursor — the **attach cursor**. From here, every
-//!    object the verifier advances past at or above that cursor is
-//!    shipped to the destination as it becomes durable. Traffic flows.
-//! 3. **Snapshot copy** — the driver bulk-copies the stable prefix: the
-//!    hash-table region and the log below the attach cursor, in chunks,
-//!    with one-sided reads from the source and writes into the
-//!    destination pool. Log bytes below the cursor are stable (verified
-//!    objects never change their payload), so this copy races nothing;
-//!    the churning hash table is copied best-effort and reconciled in
-//!    step 5. Traffic still flows.
-//! 4. **Seal + drain** — the source is sealed: every client data op is
-//!    answered `WrongEpoch` (the retarget signal); `TxnDecide` stays
-//!    admissible so 2PC transactions prepared before the seal still
-//!    resolve (PR 7's atomicity composes unchanged). The driver waits for
-//!    the verifier to drain to the log head — in-flight one-sided value
-//!    writes either land (verified + delta-shipped) or time out
-//!    (invalidated + delta-shipped); in-doubt transactions resolve by
-//!    decide or presumed-abort. Bounded by `verify_timeout` +
-//!    `txn_abort_timeout`. The delta stream is then flushed and detached;
-//!    the source pool is now frozen.
+//! 2. **Copy** — the driver bulk-copies the hash-table region and each
+//!    log region up to its current head, in chunks, with one-sided reads
+//!    from the source and writes into the destination pool. Traffic
+//!    flows, and a cleaning pass may run, so the copy is best-effort:
+//!    step 5 reconciles everything that changed under it.
+//! 3. **Seal** — the driver waits for any in-flight cleaning pass to
+//!    finish or abort (`CleanPhase::Normal`) and seals the source with no
+//!    yield between the check and the seal. The cleaner refuses to start
+//!    a pass on a sealed shard and claims its phase without yielding, so
+//!    exactly one side wins. A sealed source answers every client data op
+//!    `WrongEpoch` (the retarget signal); `TxnDecide` stays admissible so
+//!    2PC transactions prepared before the seal still resolve (PR 7's
+//!    atomicity composes unchanged).
+//! 4. **Drain** — the driver waits for the verifier to reach the log
+//!    head: in-flight one-sided value writes either land (verified) or
+//!    time out (invalidated); in-doubt transactions resolve by decide or
+//!    presumed-abort. Bounded by `verify_timeout` + `txn_abort_timeout`.
+//!    The source pool is now frozen.
 //! 5. **Fixup + verify** — one chunked compare-and-rewrite pass over the
-//!    whole pool catches everything the live copy could not pin down
-//!    (hash-table churn, flag-word updates below the cursor, delta runs
-//!    lost to transient faults). A second pass asserts **zero**
-//!    differences: the destination is byte-identical to the frozen
-//!    source — exactly what a stop-the-world copy would have produced.
+//!    whole pool rewrites every chunk that changed since the copy (log
+//!    growth, hash-table churn, flag-word updates, relocations by a
+//!    cleaning pass). A second pass asserts **zero** differences: the
+//!    destination is byte-identical to the frozen source — exactly what a
+//!    stop-the-world copy would have produced.
 //! 6. **Adopt** — ordinary [`crate::recovery`] runs over the copied pool
 //!    (the same code path a rebooted owner would run) and the destination
 //!    server starts.
@@ -50,11 +44,10 @@
 //!    signal for every client that has not yet refreshed.
 //!
 //! Aborting at any step before 7 leaves the source the one owner: the
-//! driver unseals it, detaches the delta stream, and commits
-//! `MigrateAbort`. If the abort proposal itself finds no metadata
-//! majority, the driver parks it ([`Cluster::note_unacked_abort`]) and
-//! [`Cluster::reconcile`] re-proposes it once a majority is reachable —
-//! otherwise the slot would stay occupied forever, since with both
+//! driver unseals it and commits `MigrateAbort`. If the abort proposal
+//! itself finds no metadata majority, the driver parks it on the cluster
+//! and [`Cluster::reconcile`] re-proposes it once a majority is reachable
+//! — otherwise the slot would stay occupied forever, since with both
 //! endpoints alive the death sweep never auto-aborts. A crash of either
 //! endpoint mid-migration is detected by the metadata service's death
 //! sweep, which auto-aborts the migration; the invariant "exactly one
@@ -72,8 +65,7 @@ use super::meta::{MetaClient, MetaCmd, ProposeOutcome};
 use super::Cluster;
 use crate::protocol::Event;
 use crate::recovery::{self, RecoveryReport};
-use crate::repl::ReplTarget;
-use crate::server::{CleanPhase, MigrateSlot, ServerShared};
+use crate::server::{CleanPhase, ServerShared};
 
 /// Why a migration did not commit. In every case the source remains the
 /// owner (the metadata service never saw, or refused, the commit).
@@ -84,10 +76,7 @@ pub enum MigrateError {
     Rejected,
     /// No metadata leader/majority reachable within the deadline.
     MetaUnavailable,
-    /// The source verifier could not connect the delta stream to the
-    /// destination (source dead or link down).
-    AttachFailed,
-    /// The snapshot/fixup copy failed (an endpoint died or a partition
+    /// The copy or fixup failed (an endpoint died or a partition
     /// outlasted the retry budget).
     CopyFailed,
     /// The sealed source did not drain within the bound (its verifier
@@ -97,9 +86,9 @@ pub enum MigrateError {
     /// the migration was auto-aborted under us (endpoint declared dead).
     CommitRefused,
     /// The source's log cleaner kept a pass in flight past the wait
-    /// bound, so the delta stream was never attached. Cleaning rewrites
-    /// the log (and ultimately swaps pools) under the mirror's feet;
-    /// migration serializes behind it rather than racing it.
+    /// bound, so the source was never sealed. A sealed shard must hold
+    /// still for the drain and the fixup, so the seal waits for the pass
+    /// rather than racing it.
     CleanTimeout,
 }
 
@@ -114,14 +103,10 @@ pub struct MigrationReport {
     pub to: usize,
     /// Placement epoch after the commit.
     pub epoch: u64,
-    /// Verifier cursor at delta attach (exclusive upper bound of the
-    /// stable snapshot prefix).
-    pub attach_cursor: u64,
     /// Bytes bulk-copied while traffic flowed.
     pub snapshot_bytes: u64,
-    /// Objects shipped by the delta stream.
-    pub delta_objects: u64,
-    /// Bytes rewritten by the post-drain fixup pass.
+    /// Bytes rewritten by the post-drain fixup pass: nonzero iff the
+    /// source changed between the copy and the seal.
     pub fixup_bytes: u64,
     /// Differences found by the final verify pass — 0 by construction;
     /// the driver fails the migration otherwise.
@@ -174,16 +159,10 @@ struct Unwind<'a> {
     to: usize,
     src: &'a Arc<ServerShared>,
     sealed: bool,
-    attached: bool,
 }
 
 impl Unwind<'_> {
     fn abort(self, cluster: &Cluster, err: MigrateError) -> MigrateError {
-        if self.attached {
-            // Best effort: if the verifier is alive it flushes + drops the
-            // delta mirror; if it died with the node, the slot is inert.
-            *self.src.migrate_out.lock().unwrap() = MigrateSlot::Detach;
-        }
         if self.sealed {
             self.src.unseal();
         }
@@ -196,7 +175,7 @@ impl Unwind<'_> {
             deadline,
         );
         if matches!(outcome, ProposeOutcome::Unavailable) {
-            // The abort may never have reached the log. Both endpoints
+            // The abort may never have been committed. Both endpoints
             // are (or may be) alive, so the death sweep will never free
             // the slot for us — park the abort for `Cluster::reconcile`
             // to re-propose once a metadata majority is reachable.
@@ -209,7 +188,7 @@ impl Unwind<'_> {
 
 /// The commit proposal came back `Unavailable` — ambiguous: the command
 /// may have replicated before the ack was lost (or the leader died and
-/// the command died with it). Resolve against the authoritative log: an
+/// the command died with it). Resolve against the authoritative state: an
 /// owner flip to `to` means it committed; a slot that is no longer ours
 /// means it provably did not and can no longer (the death sweep's
 /// auto-abort won the race); a slot still holding this exact migration
@@ -274,9 +253,8 @@ impl Cluster {
             },
             sim::now() + sim::millis(2),
         ) {
-            // `apply` is total: a conflicting entry ahead of ours in the
-            // log can no-op our command even though the proposal itself
-            // "committed". Trust the returned state, not the status.
+            // Trust the returned state, not the status: only a state
+            // that holds this exact migration makes the slot ours.
             ProposeOutcome::Committed(state)
                 if state.migrating == Some((shard as u32, to as u32)) => {}
             ProposeOutcome::Committed(_) => return Err(MigrateError::Rejected),
@@ -301,10 +279,9 @@ impl Cluster {
         self.stats().migrations_started.inc();
 
         // Destination scaffolding: fresh pool (counted under the
-        // destination seat's prefix), a listener so QPs (the
-        // delta mirror's and the driver's) can connect, and a
-        // registration covering the whole pool. Offsets line up 1:1 with
-        // the source — both pools share one layout.
+        // destination seat's prefix), a listener so the driver's QP can
+        // connect, and a registration covering the whole pool. Offsets
+        // line up 1:1 with the source — both pools share one layout.
         let dest_node: Node = self.seat_node(to, shard).clone();
         let dest_prefix = format!("{}.", Cluster::seat_name(to, shard));
         let dest_pool = Arc::new(PmemPool::new(cfg.layout.total_len()));
@@ -322,64 +299,11 @@ impl Cluster {
             to,
             src: &src,
             sealed: false,
-            attached: false,
         };
 
-        // Step 2: attach the delta stream through the verifier — but only
-        // once no cleaning pass is in flight. The cleaner relocates
-        // objects and swaps pools, which would invalidate the snapshot
-        // cursor and the 1:1 offset mapping the delta mirror relies on.
-        // Its run() gate refuses to start a pass while `migrate_out` is
-        // non-Idle, and a pass claims its phase without yielding, so after
-        // this loop observes `Normal` the Attach store below (no yields in
-        // between) parks the slot before any new pass can begin: exactly
-        // one side wins the race.
-        let clean_deadline = sim::now() + sim::millis(100);
-        loop {
-            if src.phase() == CleanPhase::Normal {
-                break;
-            }
-            if sim::now() >= clean_deadline {
-                return Err(unwind.abort(self, MigrateError::CleanTimeout));
-            }
-            sim::sleep(sim::micros(50));
-        }
-
-        let delta_objs_before = self.migrate_repl_stats().mirror_objects.get();
-        *src.migrate_out.lock().unwrap() = MigrateSlot::Attach(ReplTarget {
-            backup: dest_node.clone(),
-            mr: dest_mr,
-            stats: Arc::clone(self.migrate_repl_stats()),
-            batch: cfg.server.doorbell_batch.max(1),
-        });
-        unwind.attached = true;
-        let attach_deadline = sim::now() + sim::millis(2);
-        let attach_cursor = loop {
-            // Scope the guard: sleeping while holding the slot lock would
-            // wedge the verifier, which takes it every loop iteration.
-            let state = match *src.migrate_out.lock().unwrap() {
-                MigrateSlot::Active { cursor } => Some(Ok(cursor)),
-                MigrateSlot::Failed => Some(Err(())),
-                _ => None,
-            };
-            match state {
-                Some(Ok(cursor)) => break cursor,
-                Some(Err(())) => {
-                    unwind.attached = false;
-                    return Err(unwind.abort(self, MigrateError::AttachFailed));
-                }
-                None if sim::now() >= attach_deadline => {
-                    return Err(unwind.abort(self, MigrateError::AttachFailed));
-                }
-                None => sim::sleep(sim::micros(2)),
-            }
-        };
-
-        // Step 3: snapshot-copy the stable prefix while traffic flows.
-        // [0, log base) covers the hash table (+ any metadata);
-        // [log base, attach cursor) is the settled log prefix. The log at
-        // or above the cursor is the delta stream's job — copying it here
-        // would race the delta writes.
+        // Step 2: copy the hash table and each log region up to its head
+        // while traffic flows. Nothing here is pinned down: the fixup
+        // pass after the seal rewrites every chunk that changed since.
         let src_qp = match self.fabric().connect(&local, &src_node) {
             Ok(qp) => qp,
             Err(_) => return Err(unwind.abort(self, MigrateError::CopyFailed)),
@@ -389,9 +313,9 @@ impl Cluster {
             Err(_) => return Err(unwind.abort(self, MigrateError::CopyFailed)),
         };
         let mut snapshot_bytes = 0u64;
-        let log_base = cfg.layout.regions()[0].base();
-        let prefix_end = (attach_cursor as usize).max(log_base);
-        for (lo, hi) in [(0usize, log_base), (log_base, prefix_end)] {
+        let spans = std::iter::once((0, src.logs[0].base()))
+            .chain(src.logs.iter().map(|log| (log.base(), log.head())));
+        for (lo, hi) in spans {
             let mut off = lo;
             while off < hi {
                 let len = cfg.migrate_chunk.min(hi - off);
@@ -409,10 +333,22 @@ impl Cluster {
             }
         }
 
-        // Step 4: seal, then drain the verifier to the log head.
+        // Step 3: seal once no cleaning pass is in flight. The cleaner's
+        // gate refuses to start a pass on a sealed shard, and a pass
+        // claims its phase without yielding, so with no yield between
+        // observing `Normal` and the seal exactly one side wins.
+        let clean_deadline = sim::now() + sim::millis(100);
+        while src.phase() != CleanPhase::Normal {
+            if sim::now() >= clean_deadline {
+                return Err(unwind.abort(self, MigrateError::CleanTimeout));
+            }
+            sim::sleep(sim::micros(50));
+        }
         src.seal();
         unwind.sealed = true;
         let t_sealed = sim::now();
+
+        // Step 4: drain the verifier to the log head.
         let drain_deadline =
             sim::now() + cfg.server.verify_timeout + cfg.server.txn_abort_timeout + sim::millis(2);
         loop {
@@ -427,22 +363,6 @@ impl Cluster {
             sim::sleep(sim::micros(5));
         }
         self.stats().drain_waits.inc();
-
-        // Flush + detach the delta stream (the verifier services the
-        // slot; Idle means the flush happened).
-        *src.migrate_out.lock().unwrap() = MigrateSlot::Detach;
-        let detach_deadline = sim::now() + sim::millis(2);
-        loop {
-            if matches!(*src.migrate_out.lock().unwrap(), MigrateSlot::Idle) {
-                unwind.attached = false;
-                break;
-            }
-            if sim::now() >= detach_deadline || src.node.is_crashed() {
-                return Err(unwind.abort(self, MigrateError::DrainTimeout));
-            }
-            sim::sleep(sim::micros(2));
-        }
-        let delta_objects = self.migrate_repl_stats().mirror_objects.get() - delta_objs_before;
 
         // Step 5: fixup + verify against the frozen source.
         let total = cfg.layout.total_len();
@@ -518,17 +438,15 @@ impl Cluster {
             sim::now() + sim::millis(2),
         );
         let resolved = match outcome {
-            // Believe the flip only if the returned state shows it (apply
-            // is total, so a conflicting entry ahead of ours can no-op
-            // the command under a "committed" status).
+            // Believe the flip only if the returned state shows it.
             ProposeOutcome::Committed(state) if state.placement.node_of_shard(shard) == to => {
                 Some(Ok(state.placement.epoch))
             }
             // Everything else is ambiguous, not refused: `Unavailable`
             // may have replicated before the ack was lost, and `Rejected`
-            // may be our own commit landing in a previous leader's log
+            // may be our own commit landing in a previous leader's state
             // and the retry reaching its successor as a duplicate. Settle
-            // against the authoritative log.
+            // against the authoritative state.
             _ => resolve_commit(unwind.mc, shard, to),
         };
         let epoch = match resolved {
@@ -560,9 +478,7 @@ impl Cluster {
             from,
             to,
             epoch,
-            attach_cursor,
             snapshot_bytes,
-            delta_objects,
             fixup_bytes,
             verify_diff_bytes,
             sealed_ns: sim::now() - t_sealed,

@@ -8,13 +8,13 @@
 //!
 //! * [`placement::PlacementMap`] — the deterministic shard→node map,
 //!   tagged with a monotonically increasing **placement epoch**;
-//! * [`meta`] — a small leader-based, log-replicated metadata service
-//!   (3 replicas over the same simulated fabric) that owns the placement
-//!   map, detects node death via heartbeats on the virtual clock, and
-//!   serializes every ownership change;
-//! * [`migrate`] — **live shard migration**: snapshot-copy the shard's
-//!   pool to the destination while client traffic keeps flowing, catch
-//!   up through the verifier's delta stream, seal + drain, verify the
+//! * [`meta`] — a small leader-based metadata service (3 replicas over
+//!   the same simulated fabric) that replicates one versioned control-plane
+//!   state: it owns the placement map, detects node death via heartbeats
+//!   on the virtual clock, and serializes every ownership change;
+//! * [`migrate`] — **live shard migration**: copy the shard's pool to the
+//!   destination while client traffic keeps flowing, seal + drain the
+//!   source, rewrite every chunk that changed since the copy, verify the
 //!   copy byte-identical to the (now frozen) source, and only then flip
 //!   ownership with an epoch bump;
 //! * clients ([`crate::route::RoutedClient`] over [`Cluster::desc`]) cache
@@ -32,17 +32,18 @@
 //! repeated migrations; [`efactory_rnic::Fabric::node_by_name`] is the
 //! directory that resolves them.
 //!
-//! Cluster shards may run with cleaning enabled: the cleaner and the
-//! migration engine exclude each other at pass granularity (the cleaner's
-//! gate skips sealed or migrating shards; [`migrate`] waits for any
-//! in-flight pass to finish or abort before parking its delta-stream
-//! attachment — see [`migrate::MigrateError::CleanTimeout`]). A migrated
-//! copy is taken from a sealed, drained source, so it is a crash-consistent
-//! image and the standard recovery rules — including cleaning-progress
-//! records — apply to it unchanged. Shards run without per-shard backups:
-//! node death is survived the same way the single-node system survives
-//! power failure — restart + recovery over the NVM pool — while *planned*
-//! moves use live migration.
+//! Cluster shards may run with cleaning enabled. The cleaner and the
+//! migration engine exclude each other only at seal time: the cleaner's
+//! gate skips sealed shards, and [`migrate`] waits for any in-flight pass
+//! to finish or abort before it seals (see
+//! [`migrate::MigrateError::CleanTimeout`]). A pass may run during the
+//! live copy; the fixup pass after the seal rewrites whatever it moved. A
+//! migrated copy is taken from a sealed, drained source, so it is a
+//! crash-consistent image and the standard recovery rules — including
+//! cleaning-progress records — apply to it unchanged. Shards run without
+//! per-shard backups: node death is survived the same way the single-node
+//! system survives power failure — restart + recovery over the NVM pool —
+//! while *planned* moves use live migration.
 
 pub mod meta;
 pub mod migrate;
@@ -65,7 +66,6 @@ use sim::Nanos;
 
 use crate::log::StoreLayout;
 use crate::recovery::{self, RecoveryReport};
-use crate::repl::ReplStats;
 use crate::route::RouteDesc;
 use crate::server::{Server, ServerConfig, ServerShared, StoreDesc};
 
@@ -236,8 +236,6 @@ pub struct Cluster {
     seats: Mutex<Vec<SeatState>>,
     handle: Arc<ClusterHandle>,
     stats: Arc<ClusterStats>,
-    /// Delta-stream (migration mirror) counters, under `cluster.migrate.`.
-    migrate_repl: Arc<ReplStats>,
     /// In-flight migration's destination artifacts (at most one — the
     /// metadata service serializes migrations).
     staged: Mutex<Option<StagedMigration>>,
@@ -276,8 +274,6 @@ impl Cluster {
 
         let stats = Arc::new(ClusterStats::default());
         stats.register(&server_cfg.obs.registry);
-        let migrate_repl = Arc::new(ReplStats::default());
-        migrate_repl.register_prefixed(&server_cfg.obs.registry, "cluster.migrate.");
         let meta_stats = Arc::new(MetaStats::default());
         meta_stats.register(&server_cfg.obs.registry);
 
@@ -332,7 +328,6 @@ impl Cluster {
             seats: Mutex::new(seats),
             handle,
             stats,
-            migrate_repl,
             staged: Mutex::new(None),
             pending_abort: Mutex::new(None),
             stop,
@@ -397,11 +392,6 @@ impl Cluster {
     /// Cluster-layer counters.
     pub fn stats(&self) -> &Arc<ClusterStats> {
         &self.stats
-    }
-
-    /// Delta-stream (migration mirror) counters.
-    pub fn migrate_repl_stats(&self) -> &Arc<ReplStats> {
-        &self.migrate_repl
     }
 
     /// The cluster configuration.
@@ -637,9 +627,9 @@ impl Cluster {
     /// seat endpoint the node hosts (in-flight DMA torn per `spec`) —
     /// the seats it currently owns, retired tombstone seats, and equally
     /// the scaffolding seat of a migration *to* this node, so a staged
-    /// destination pool stops absorbing delta/snapshot writes the
-    /// instant the machine dies. The metadata leader notices the
-    /// heartbeat silence and commits `NodeDown`.
+    /// destination pool stops absorbing copy writes the instant the
+    /// machine dies. The metadata leader notices the heartbeat silence
+    /// and commits `NodeDown`.
     pub fn crash_data_node(&self, i: usize, spec: CrashSpec, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0DD5_EED5);
         self.fabric.crash_node(&self.agent_nodes[i], spec, &mut rng);
@@ -723,7 +713,7 @@ impl Cluster {
     }
 
     /// Restart metadata replica `r` from its simulated stable storage:
-    /// term, vote, snapshot, and log survive the power failure (see
+    /// term, vote, and the versioned state survive the power failure (see
     /// [`MetaService::restart_replica`]). Must run inside a simulated
     /// process.
     pub fn restart_meta_replica(&self, r: usize) {

@@ -5,8 +5,8 @@
 //!
 //! * **key → shard** is *static*: [`key_shard`] hashes the key through a
 //!   second splitmix64 round (decorrelated from the in-shard bucket
-//!   [`fingerprint`](crate::hashtable::fingerprint)), and the shard count
-//!   never changes over the life of a store. Every legacy single-node
+//!   [`crate::hashtable::fingerprint`]), and the shard count never
+//!   changes over the life of a store. Every legacy single-node
 //!   path ([`crate::shard::shard_of`], the replicated sharded client, the
 //!   routed transaction drivers) delegates here, so a key maps to the
 //!   same shard on every client, every connection, and every run.

@@ -18,7 +18,7 @@
 //! RDMA-write ack, and the mirror rides behind the verifier exactly like
 //! durability does.
 //!
-//! The backup runs its own apply loop ([`backup`]): on each `WriteImm`
+//! The backup runs its own apply loop (`backup.rs`): on each `WriteImm`
 //! completion it walks the mirrored run object by object, *re-verifies the
 //! CRC*, flushes the bytes to its own media, and only then links its own
 //! hash entry — so an object is indexed on the backup only after **remote

@@ -315,35 +315,11 @@ pub struct ServerShared {
     /// state, and rejecting it would break atomicity for transactions
     /// whose other shards already committed.
     pub sealed: AtomicBool,
-    /// Live-migration delta-stream rendezvous between the migration
-    /// driver and this server's verifier (see [`MigrateSlot`]).
-    pub migrate_out: std::sync::Mutex<MigrateSlot>,
     /// Event-broadcast handle for this server's listener, stashed by
     /// [`Server::start_with`] so the migration decommission step can push
     /// a `CleanStart` to connected clients (pinning them off the pure
     /// one-sided read path) without owning the handler's listener.
     pub notifier: std::sync::Mutex<Option<efactory_rnic::Notifier>>,
-}
-
-/// Handshake cell for attaching a live-migration delta stream to the
-/// verifier. The driver parks a [`ReplTarget`](crate::repl::ReplTarget)
-/// aimed at the destination pool; the verifier (the only process that may
-/// own the connection) connects a second [`Mirror`](crate::repl::Mirror)
-/// and acks with its cursor at attach time — the exclusive upper bound of
-/// the snapshot copy, and the point from which the delta stream is
-/// hole-free.
-pub enum MigrateSlot {
-    /// No migration in progress.
-    Idle,
-    /// Driver request: connect a delta mirror to this target.
-    Attach(crate::repl::ReplTarget),
-    /// Verifier ack: delta stream live; `cursor` was the verifier position
-    /// at attach (everything below it is the snapshot copy's job).
-    Active { cursor: u64 },
-    /// Verifier could not connect to the destination; driver must abort.
-    Failed,
-    /// Driver request: flush and drop the delta mirror.
-    Detach,
 }
 
 impl ServerShared {
@@ -527,7 +503,6 @@ impl Server {
             born_epoch: node.epoch(),
             txn: std::sync::Mutex::new(crate::txn::TxnState::default()),
             sealed: AtomicBool::new(false),
-            migrate_out: std::sync::Mutex::new(MigrateSlot::Idle),
             notifier: std::sync::Mutex::new(None),
         });
         shared
@@ -612,7 +587,7 @@ impl Server {
             let mirror = repl
                 .as_ref()
                 .and_then(|t| crate::repl::Mirror::connect(&v_fabric, &v_shared, t));
-            crate::verifier::run_with_mirror(&v_shared, Some(&v_fabric), mirror);
+            crate::verifier::run(&v_shared, mirror);
         });
 
         if shared.cfg.scrub_enabled {

@@ -167,8 +167,8 @@ pub struct FabricStats {
 type VerbProbeFn = Box<dyn Fn(&'static str, usize, Nanos, Nanos) + Send + Sync>;
 
 /// An optional callback fired on every verb the fabric issues, with the
-/// verb name (`"send"`, `"rdma_read"`, `"rdma_write"`, `"rdma_atomic"`),
-/// the payload length, and the verb's virtual `[start, end)` window — for
+/// verb name (`"send"`, `"rdma_read"`, `"rdma_write"`), the payload
+/// length, and the verb's virtual `[start, end)` window — for
 /// two-sided sends the window is issue → nominal arrival, for one-sided
 /// verbs it is issue → ack (including fault retransmit/delay time). Lets
 /// an observability layer record NIC completions without this crate
@@ -685,23 +685,6 @@ impl Listener {
             .map_err(|_| QpError::Disconnected)
     }
 
-    /// Push an unsolicited event (notification) to the client behind `qp`.
-    /// Clients read these with [`ClientQp::try_event`].
-    pub fn notify(&self, qp: QpId, payload: Vec<u8>) -> Result<(), QpError> {
-        self.node.guard()?;
-        let delay = self.cost.one_way(payload.len());
-        self.stats.sends.fetch_add(1, Ordering::Relaxed);
-        let now = probe_now();
-        self.stats
-            .probe
-            .fire("send", payload.len(), now, now + delay);
-        let conns = self.conns.lock();
-        let tx = conns.get(&qp).ok_or(QpError::Disconnected)?;
-        tx.event
-            .send(payload, delay)
-            .map_err(|_| QpError::Disconnected)
-    }
-
     /// Broadcast an event to every connected client (ignoring clients that
     /// already went away).
     pub fn notify_all(&self, payload: &[u8]) -> Result<(), QpError> {
@@ -975,11 +958,6 @@ impl ClientQp {
             .map_err(|_| QpError::Disconnected)
     }
 
-    /// Block for the next reply from the server.
-    pub fn recv_reply(&self) -> Result<Vec<u8>, QpError> {
-        self.rx.recv().map_err(|_| QpError::Disconnected)
-    }
-
     /// Reply receive with an absolute virtual-time deadline.
     pub fn recv_reply_deadline(&self, deadline: Nanos) -> Result<Vec<u8>, QpError> {
         self.rx.recv_deadline(deadline).map_err(|e| match e {
@@ -1047,76 +1025,6 @@ impl ClientQp {
         self.local.guard()?;
         self.stats.probe.fire("rdma_read", len, start, probe_now());
         Ok(data)
-    }
-
-    /// One-sided atomic compare-and-swap on the aligned u64 at `off`
-    /// (paper §2.1 lists atomics among the one-sided primitives; eFactory
-    /// itself does not use them, but the fabric is complete for extensions).
-    /// Returns the old value. Like all one-sided ops, the update lands in
-    /// the volatile domain.
-    pub fn rdma_cas(
-        &self,
-        mr: &RemoteMr,
-        off: usize,
-        expected: u64,
-        new: u64,
-    ) -> Result<u64, QpError> {
-        self.guard_both()?;
-        if !off.is_multiple_of(8) {
-            return Err(QpError::AccessViolation);
-        }
-        if self.link_down() {
-            return Err(self.one_sided_partition_timeout());
-        }
-        let start = probe_now();
-        self.one_sided_fault();
-        self.stats.rdma_writes.fetch_add(1, Ordering::Relaxed);
-        // Request reaches the remote NIC, which performs the atomic there.
-        sim::sleep(self.cost.one_way(8));
-        self.remote.guard()?;
-        let old = {
-            let mrs = self.remote.inner.mrs.lock();
-            let entry = self.resolve(&mrs, mr, off, 8)?;
-            let abs = entry.base + off;
-            let old = entry.pool.read_u64(abs);
-            if old == expected {
-                entry.pool.write_u64(abs, new);
-            }
-            old
-        };
-        sim::sleep(self.cost.one_way(8));
-        self.local.guard()?;
-        self.stats.probe.fire("rdma_atomic", 8, start, probe_now());
-        Ok(old)
-    }
-
-    /// One-sided atomic fetch-and-add on the aligned u64 at `off`. Returns
-    /// the pre-add value. Volatile-domain semantics as with `rdma_cas`.
-    pub fn rdma_faa(&self, mr: &RemoteMr, off: usize, add: u64) -> Result<u64, QpError> {
-        self.guard_both()?;
-        if !off.is_multiple_of(8) {
-            return Err(QpError::AccessViolation);
-        }
-        if self.link_down() {
-            return Err(self.one_sided_partition_timeout());
-        }
-        let start = probe_now();
-        self.one_sided_fault();
-        self.stats.rdma_writes.fetch_add(1, Ordering::Relaxed);
-        sim::sleep(self.cost.one_way(8));
-        self.remote.guard()?;
-        let old = {
-            let mrs = self.remote.inner.mrs.lock();
-            let entry = self.resolve(&mrs, mr, off, 8)?;
-            let abs = entry.base + off;
-            let old = entry.pool.read_u64(abs);
-            entry.pool.write_u64(abs, old.wrapping_add(add));
-            old
-        };
-        sim::sleep(self.cost.one_way(8));
-        self.local.guard()?;
-        self.stats.probe.fire("rdma_atomic", 8, start, probe_now());
-        Ok(old)
     }
 
     /// One-sided RDMA write. Returns when the ack arrives — which, per RDMA

@@ -14,7 +14,7 @@
 //!   deadline converts the silence into a `Timeout` (at-least-once fabric —
 //!   end-to-end retry + server-side dedup restore exactly-once, see
 //!   `efactory::client`).
-//! * **One-sided verbs** (read/write/atomics) run over a reliable
+//! * **One-sided verbs** (reads and writes) run over a reliable
 //!   connection: the NIC retransmits lost packets transparently, so a
 //!   "drop" draw surfaces as one wasted round trip of extra latency —
 //!   never as data loss or an error.

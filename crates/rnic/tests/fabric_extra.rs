@@ -31,7 +31,7 @@ fn notify_reaches_client_event_channel() {
         let Ok(Incoming::Send { from, .. }) = l.recv() else {
             panic!("expected hello");
         };
-        l.notify(from, vec![0xC1]).unwrap();
+        l.notify_all(&[0xC1]).unwrap();
         l.reply(from, vec![1]).unwrap();
     });
     simu.spawn("client", move || {
@@ -295,52 +295,6 @@ fn crash_tears_multiple_inflight_writes_independently() {
         );
         assert!(buf[arrived..].iter().all(|&b| b == 0), "writer {w}: holes");
     }
-}
-
-#[test]
-fn atomic_cas_and_faa_have_rdma_semantics() {
-    let (mut simu, fabric, server, client) = setup(CostModel::default());
-    let pool = Arc::new(PmemPool::new(4096));
-    let mr = server.register_mr(&pool, 0, 4096);
-    let pool2 = Arc::clone(&pool);
-    let f = Arc::clone(&fabric);
-    let f2 = Arc::clone(&fabric);
-    let server2 = server.clone();
-    simu.spawn("server", move || {
-        let _l = server2.listen(&f2, true);
-        sim::sleep(sim::millis(1));
-    });
-    simu.spawn("client", move || {
-        sim::yield_now();
-        let qp = f.connect(&client, &server).unwrap();
-        // CAS success: old value returned, new value installed.
-        assert_eq!(qp.rdma_cas(&mr, 64, 0, 7).unwrap(), 0);
-        assert_eq!(pool2.read_u64(64), 7);
-        // CAS failure: no change.
-        assert_eq!(qp.rdma_cas(&mr, 64, 0, 99).unwrap(), 7);
-        assert_eq!(pool2.read_u64(64), 7);
-        // FAA accumulates and returns pre-add values.
-        assert_eq!(qp.rdma_faa(&mr, 64, 10).unwrap(), 7);
-        assert_eq!(qp.rdma_faa(&mr, 64, 10).unwrap(), 17);
-        assert_eq!(pool2.read_u64(64), 27);
-        // Like all one-sided ops, atomics land in the volatile domain.
-        assert!(!pool2.is_persisted(64, 8));
-        // Alignment and bounds are enforced.
-        assert_eq!(
-            qp.rdma_cas(&mr, 63, 0, 1).unwrap_err(),
-            QpError::AccessViolation
-        );
-        assert_eq!(
-            qp.rdma_faa(&mr, 4096, 1).unwrap_err(),
-            QpError::AccessViolation
-        );
-        // Each atomic costs one full round trip in virtual time.
-        let t0 = sim::now();
-        qp.rdma_faa(&mr, 64, 1).unwrap();
-        let cost = CostModel::default();
-        assert_eq!(sim::now() - t0, 2 * cost.one_way(8));
-    });
-    simu.run().expect_ok();
 }
 
 #[test]

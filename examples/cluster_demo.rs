@@ -2,18 +2,18 @@
 //! shard migration under client load.
 //!
 //! A [`Cluster`] places shards round-robin across data nodes and runs a
-//! 3-replica metadata service (leader-based, log-replicated over the same
-//! fabric) that owns the placement map. This demo:
+//! 3-replica metadata service (leader-based, replicating one versioned
+//! state over the same fabric) that owns the placement map. This demo:
 //!
 //! 1. seeds keys through a [`RoutedClient`] that routes by the
 //!    epoch-tagged placement map;
 //! 2. power-fails a data node, waits for the death detector to commit
 //!    `NodeDown`, then restarts it and recovers its shards from NVM;
 //! 3. live-migrates shard 0 to the other node while a background writer
-//!    keeps the cluster under load — snapshot copy, delta catch-up over
-//!    the verifier stream, then an epoch-bumped router flip. Clients
-//!    retarget on `WrongEpoch`; the destination's bytes verify identical
-//!    to a stop-the-world copy.
+//!    keeps the cluster under load — live copy, seal + drain, a fixup
+//!    pass over what changed since the copy, then an epoch-bumped router
+//!    flip. Clients retarget on `WrongEpoch`; the destination's bytes
+//!    verify identical to a stop-the-world copy.
 //!
 //! Run with: `cargo run --release --example cluster_demo`
 
@@ -138,12 +138,12 @@ fn main() {
         );
         println!(
             "[{:>9} ns] migration committed at epoch {}: {} snapshot bytes, \
-             {} delta objects, {} fixup bytes, verify diff 0",
+             {} fixup bytes, {} ns sealed, verify diff 0",
             sim::now(),
             report.epoch,
             report.snapshot_bytes,
-            report.delta_objects,
             report.fixup_bytes,
+            report.sealed_ns,
         );
 
         // Every key reads back through the new placement; the stale

@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory::client::ClientConfig;
-use efactory::cluster::{Cluster, ClusterConfig, MetaClient, MigrateError};
+use efactory::cluster::meta::ProposeOutcome;
+use efactory::cluster::{Cluster, ClusterConfig, MetaClient, MetaCmd, MigrateError};
 use efactory::log::StoreLayout;
 use efactory::route::RoutedClient;
 use efactory::server::ServerConfig;
@@ -84,6 +85,19 @@ fn await_converged(cluster: &Cluster, deadline: Nanos) -> efactory::cluster::Met
             sim::now() < deadline,
             "metadata service never converged (migration slot still held)"
         );
+        sim::sleep(sim::micros(100));
+    }
+}
+
+/// Read the state from whichever replica leads. Panics if no leader
+/// answers within 20 ms.
+fn await_leader(mc: &mut MetaClient) -> efactory::cluster::MetaState {
+    let deadline = sim::now() + sim::millis(20);
+    loop {
+        if let Some(s) = mc.get_map(sim::now() + sim::micros(500)) {
+            return s;
+        }
+        assert!(sim::now() < deadline, "no metadata leader answered");
         sim::sleep(sim::micros(100));
     }
 }
@@ -467,6 +481,126 @@ fn partitioned_stale_meta_leader_cannot_serve_stale_placement() {
         cluster.fabric().heal_link(&meta[0], &meta[2]);
         sim::sleep(sim::millis(1)); // deposed leader rejoins
         assert_single_owner(cluster, 0, KEYS, "post-partition-heal");
+    });
+}
+
+/// Raft's "Figure 8": a state a leader could not commit must never
+/// overwrite one a later leader did. The partitioned leader applies a
+/// proposal it cannot replicate; the quorum side elects a successor in a
+/// later term, which commits a different command at the same index. The
+/// successor then dies as the partition heals, leaving the stale leader
+/// and the successor's follower to elect a new leader. Versions compare
+/// term first, so only the follower can win and the committed command
+/// survives; a vote rule comparing only indexes would let the stale
+/// leader win and replicate its uncommitted state over it.
+#[test]
+fn stale_leader_cannot_overwrite_a_later_term_commit() {
+    with_cluster(1010, 2, 2, |cluster| {
+        let meta = cluster.meta_nodes().to_vec();
+        let probe = cluster.fabric().add_node("stale-proposer");
+        let mut stale = MetaClient::new(cluster.fabric(), &probe, &meta);
+        // Dial the initial leader (replica 0) so the next RPC goes there.
+        stale
+            .get_map(sim::now() + sim::millis(1))
+            .expect("initial leader must answer");
+
+        // Cut replica 0 off from both peers. It still believes it leads,
+        // so it applies this proposal and then finds no majority: one try
+        // only (the deadline is already past when it returns).
+        cluster.fabric().fail_link(&meta[0], &meta[1]);
+        cluster.fabric().fail_link(&meta[0], &meta[2]);
+        let uncommitted = MetaCmd::MigrateStart { shard: 0, to: 1 };
+        assert_eq!(
+            stale.propose(&uncommitted, sim::now() + 1),
+            ProposeOutcome::Unavailable
+        );
+
+        // The quorum side elects replica 1 (the shorter timeout) and
+        // commits a different command at the same index.
+        sim::sleep(sim::millis(1));
+        let probe = cluster.fabric().add_node("quorum-proposer");
+        let mut mc = MetaClient::new(cluster.fabric(), &probe, &meta);
+        let committed = MetaCmd::MigrateStart { shard: 1, to: 0 };
+        let deadline = sim::now() + sim::millis(20);
+        loop {
+            if let ProposeOutcome::Committed(s) =
+                mc.propose(&committed, sim::now() + sim::millis(1))
+            {
+                assert_eq!(s.migrating, Some((1, 0)));
+                break;
+            }
+            assert!(sim::now() < deadline, "quorum side never committed");
+            sim::sleep(sim::micros(100));
+        }
+
+        // Kill the successor before it can reach replica 0, then heal.
+        cluster.crash_meta_replica(1, 0xF168_0001);
+        cluster.fabric().heal_link(&meta[0], &meta[1]);
+        cluster.fabric().heal_link(&meta[0], &meta[2]);
+
+        assert_eq!(
+            await_leader(&mut mc).migrating,
+            Some((1, 0)),
+            "a committed command was overwritten by a stale leader's uncommitted state"
+        );
+    });
+}
+
+/// A state a new leader serves must be one no later election can undo.
+/// Replica 0 applies a proposal it cannot commit; replica 1, elected on
+/// the other side, applies another it cannot commit either. Replica 0
+/// then returns with only replica 2 and a read is served. Replica 1's
+/// state carries a later term than replica 0's, so replica 0 may only
+/// serve after a round that carries its own term: otherwise, once it
+/// dies, replica 1 wins replica 2's vote and erases what was served.
+#[test]
+fn served_state_survives_the_serving_leaders_death() {
+    with_cluster(1011, 2, 2, |cluster| {
+        let meta = cluster.meta_nodes().to_vec();
+        let fabric = cluster.fabric();
+        let client = |name: &str| MetaClient::new(fabric, &fabric.add_node(name), &meta);
+
+        // Replica 0 (the initial leader), cut off, applies a command it
+        // cannot commit: one try only, via the dialled leader.
+        let mut mc = client("proposer-0");
+        mc.get_map(sim::now() + sim::millis(1))
+            .expect("initial leader must answer");
+        fabric.fail_link(&meta[0], &meta[1]);
+        fabric.fail_link(&meta[0], &meta[2]);
+        let cmd = MetaCmd::MigrateStart { shard: 0, to: 1 };
+        assert_eq!(
+            mc.propose(&cmd, sim::now() + 1),
+            ProposeOutcome::Unavailable
+        );
+
+        // Replica 1 wins the quorum side, is cut off in turn, and applies
+        // a different command it cannot commit.
+        sim::sleep(sim::millis(1));
+        let mut mc = client("proposer-1");
+        mc.get_map(sim::now() + sim::millis(1))
+            .expect("replica 1 must lead the quorum side");
+        fabric.fail_link(&meta[1], &meta[2]);
+        let cmd = MetaCmd::MigrateStart { shard: 1, to: 0 };
+        assert_eq!(
+            mc.propose(&cmd, sim::now() + 1),
+            ProposeOutcome::Unavailable
+        );
+
+        // Replicas 0 and 2 form a majority and serve a read.
+        fabric.heal_link(&meta[0], &meta[2]);
+        sim::sleep(sim::millis(1));
+        let mut reader = client("reader");
+        let served = await_leader(&mut reader);
+
+        // Replica 0 dies; replica 1 rejoins replica 2.
+        cluster.crash_meta_replica(0, 0xF168_0002);
+        fabric.heal_link(&meta[1], &meta[2]);
+        sim::sleep(sim::millis(1));
+        assert_eq!(
+            await_leader(&mut reader).migrating,
+            served.migrating,
+            "a state served by get_map was undone by a later election"
+        );
     });
 }
 

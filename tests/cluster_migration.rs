@@ -7,8 +7,8 @@
 //!   top of the driver's own fixup/verify passes.
 //! * **Live migration is lossless**: a writer keeps acknowledging PUTs
 //!   while the shard moves; every acknowledged write is readable from
-//!   the new owner afterwards, none duplicated, and the delta stream
-//!   demonstrably carried traffic.
+//!   the new owner afterwards, none duplicated, and the fixup pass
+//!   demonstrably rewrote bytes the traffic changed after the live copy.
 //! * **Epoch fencing**: PR 5's client location cache is epoch-tagged —
 //!   a client whose cache was hot on the old owner must not serve stale
 //!   bytes after the router flip.
@@ -185,8 +185,8 @@ fn live_migration_under_traffic_is_lossless() {
         let report = cluster.migrate(0, 1 - from).expect("live migration failed");
         assert_eq!(report.verify_diff_bytes, 0);
         assert!(
-            report.delta_objects > 0,
-            "delta stream carried nothing — migration did not race traffic"
+            report.fixup_bytes > 0,
+            "source never changed between copy and seal — migration did not race traffic"
         );
 
         // Let the writer observe the new placement, then stop it.

@@ -622,8 +622,8 @@ fn txn_sweep_with_all_dirty_lines_lost() {
 //
 // Live-migration crash sweep: power-fail the SOURCE machine, the
 // DESTINATION machine, or a METADATA replica at a grid of instants
-// spanning an entire live migration (start → delta attach → snapshot copy
-// → seal/drain → fixup/verify → adopt → commit), then converge, restart
+// spanning an entire live migration (start → live copy → seal/drain →
+// fixup/verify → adopt → commit), then converge, restart
 // the victim, reconcile, and require the cluster to settle on **exactly
 // one owner**: the metadata service and the seat table agree, every
 // pre-migration key reads its seeded value un-torn, and the shard stays

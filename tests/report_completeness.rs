@@ -206,11 +206,6 @@ fn every_registered_counter_lands_in_the_report() {
         "cluster.node_restarts",
         "cluster.client.retargets",
         "cluster.client.refreshes",
-        // cluster layer: delta-stream mirror counters
-        "cluster.migrate.repl.mirror_objects",
-        "cluster.migrate.repl.mirror_bytes",
-        "cluster.migrate.repl.mirror_batches",
-        "cluster.migrate.repl.applied_objects",
         // replicated metadata service
         "meta.elections",
         "meta.terms",
