@@ -2,27 +2,21 @@
 //!
 //! Compares freshly generated bench reports against the committed
 //! `BENCH_*.json` baselines and fails (exit 1) when a key metric drifts
-//! out of band — see `efactory_bench::gate` for the metric set and the
-//! tolerance rules. Always writes a machine-readable diff
-//! (`bench-gate-diff.json` by default) for upload as a CI artifact.
+//! out of band — see `efactory_bench::lanes` for the metric set and
+//! `efactory_bench::gate` for the tolerance rules. Always writes a
+//! machine-readable diff (`bench-gate-diff.json` by default) for upload
+//! as a CI artifact.
 //!
 //! ```text
 //! bench_gate [--baseline-dir .] [--fresh-dir fresh] [--diff bench-gate-diff.json]
 //! ```
 //!
-//! The fresh reports must be produced by the same bins that made the
+//! The fresh reports must come from the same lane table that made the
 //! baselines, at full scale (the committed baselines are full-scale runs;
 //! comparing a scaled run against them would trip the band spuriously):
 //!
 //! ```text
-//! cargo run --release -p efactory-bench --bin put_get            -- --json fresh/BENCH_put_get.json
-//! cargo run --release -p efactory-bench --bin repl_overhead      -- --json fresh/BENCH_repl.json
-//! cargo run --release -p efactory-bench --bin pipeline_scaling   -- --json fresh/BENCH_pipeline.json
-//! cargo run --release -p efactory-bench --bin latency_breakdown  -- --json fresh/BENCH_breakdown.json
-//! cargo run --release -p efactory-bench --bin txn_bench          -- --json fresh/BENCH_txn.json
-//! cargo run --release -p efactory-bench --bin cluster_bench      -- --json fresh/BENCH_cluster.json
-//! cargo run --release -p efactory-bench --bin cleaning_pressure  -- --json fresh/BENCH_cleaning.json
-//! cargo run --release -p efactory-bench --bin sim_throughput     -- --json fresh/BENCH_sim.json
+//! cargo run --release -p efactory-bench --bin run -- all --json-dir fresh
 //! ```
 //!
 //! On a `stale-baseline` verdict the fix is to refresh the committed
@@ -32,19 +26,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use efactory_bench::gate::{compare_all, diff_json, extract_metrics, Json};
-
-/// The gated report files, by repo-root baseline name.
-const GATED: [&str; 8] = [
-    "BENCH_put_get.json",
-    "BENCH_repl.json",
-    "BENCH_pipeline.json",
-    "BENCH_breakdown.json",
-    "BENCH_txn.json",
-    "BENCH_cluster.json",
-    "BENCH_cleaning.json",
-    "BENCH_sim.json",
-];
+use efactory_bench::gate::{compare_all, diff_json, extract, Json};
+use efactory_bench::lanes::table;
 
 fn load(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -77,13 +60,13 @@ fn main() -> ExitCode {
 
     let mut rows = Vec::new();
     let mut load_errors = 0u32;
-    for file in GATED {
-        let stem = file.strip_suffix(".json").unwrap();
-        let pair = load(&baseline_dir.join(file)).and_then(|b| {
-            let f = load(&fresh_dir.join(file))?;
+    for b in table() {
+        let file = b.file();
+        let pair = load(&baseline_dir.join(&file)).and_then(|base| {
+            let fresh = load(&fresh_dir.join(&file))?;
             Ok((
-                extract_metrics(stem, &b)?,
-                extract_metrics(stem, &f).map_err(|e| format!("fresh {file}: {e}"))?,
+                extract(&b.gate, &base)?,
+                extract(&b.gate, &fresh).map_err(|e| format!("fresh {file}: {e}"))?,
             ))
         });
         match pair {

@@ -2,8 +2,9 @@
 //!
 //! The simulator is deterministic, so the committed reports are exact:
 //! any drift between a fresh run and the baseline is a *code* change, not
-//! noise. The gate re-derives a small set of key metrics from freshly
-//! generated reports and compares them against the committed ones at a
+//! noise. The gate evaluates each baseline's [`GateRow`]s (declared next
+//! to the lanes they read, in [`crate::lanes`]) on the committed and on a
+//! freshly generated report and compares the two values at a
 //! ±10% band (derived percentages use an absolute band instead — a 0.00%
 //! replication overhead baseline has no meaningful relative tolerance):
 //!
@@ -11,7 +12,7 @@
 //!   the gate fails;
 //! * a metric **better** than baseline beyond tolerance means the
 //!   committed baseline is stale → the gate also fails, with instructions
-//!   to refresh it (run the bench bins at full scale and commit the new
+//!   to refresh it (`run <baseline>` at full scale, and commit the new
 //!   JSON). This keeps the checked-in trajectory honest.
 //!
 //! Hard floors are acceptance criteria that must hold regardless of what
@@ -230,7 +231,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 }
 
 // ---------------------------------------------------------------------------
-// metric extraction
+// gate rows
 // ---------------------------------------------------------------------------
 
 /// Which direction is an improvement.
@@ -247,19 +248,6 @@ pub enum Better {
 pub enum Tolerance {
     Rel(f64),
     Abs(f64),
-}
-
-/// One gated quantity extracted from a report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricValue {
-    pub name: String,
-    pub value: f64,
-    pub better: Better,
-    pub tol: Tolerance,
-    /// Acceptance-criterion floor (in the metric's own unit, with
-    /// [`Better`] orientation): a fresh value on the wrong side fails the
-    /// gate even if it matches the baseline.
-    pub floor: Option<f64>,
 }
 
 /// Default relative band: ±10%.
@@ -306,316 +294,173 @@ pub const SIM_EPS_FLOOR: f64 = 250_000.0;
 /// runner. `Rel(∞)` disables the band so only the hard floor gates.
 pub const FLOOR_ONLY: Tolerance = Tolerance::Rel(f64::INFINITY);
 
-/// Subsystem lanes of the breakdown's `shares` object, in lane order.
-const BREAKDOWN_SUBS: [&str; 7] = [
-    "server", "client", "verifier", "cleaner", "pmem", "nic", "repl",
-];
-
-fn field(report: &Json, label: &str, path: &str) -> Result<f64, String> {
-    report
-        .entry(label)
-        .ok_or_else(|| format!("entry {label:?} missing"))?
-        .path(path)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("field {path:?} missing on entry {label:?}"))
+/// One number read off a labelled report entry.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Val {
+    /// A numeric field by dotted path (`Field("YCSB-T/256B", "all.p99_ns")`).
+    Field(String, &'static str),
+    /// A named end-of-run counter. Counter names contain dots
+    /// (`server.relocated`), so dotted-path lookup cannot reach them.
+    Counter(String, &'static str),
+    /// Writer-only Mops: PUT samples over the measurement window, so ops
+    /// of background snapshot readers are left out.
+    PutMops(String),
+    /// A subsystem's share (%) of the p99.9 cohort's latency, from the
+    /// entry's `breakdown.percentiles`.
+    TailShare(String, &'static str),
 }
 
-/// A named end-of-run counter from an entry's `counters` object. Counter
-/// names contain dots (`server.relocated`), so dotted-path lookup cannot
-/// reach them; this helper indexes the `counters` object directly.
-fn counter_field(report: &Json, label: &str, name: &str) -> Result<f64, String> {
-    report
-        .entry(label)
-        .ok_or_else(|| format!("entry {label:?} missing"))?
-        .get("counters")
-        .ok_or_else(|| format!("counters missing on entry {label:?}"))?
-        .get(name)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("counter {name:?} missing on entry {label:?}"))
+/// What a gate row measures.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Expr {
+    Val(Val),
+    /// `a ÷ b`; a zero `b` counts as 1, so an empty lane reads as its
+    /// numerator rather than as infinity.
+    Ratio(Val, Val),
+    /// `(a − b) ÷ a × 100`: how many percent `b` falls below `a`.
+    PctDrop(Val, Val),
 }
 
-/// A subsystem's share (percent) of the given percentile cohort's latency,
-/// read out of an entry's `breakdown.percentiles` array.
-fn tail_share(report: &Json, label: &str, pctl: &str, sub: &str) -> Result<f64, String> {
-    let rows = report
-        .entry(label)
-        .ok_or_else(|| format!("entry {label:?} missing"))?
-        .path("breakdown.percentiles")
-        .ok_or_else(|| format!("breakdown.percentiles missing on entry {label:?}"))?;
-    let Json::Arr(rows) = rows else {
-        return Err(format!("breakdown.percentiles not an array on {label:?}"));
-    };
-    rows.iter()
-        .find(|r| r.get("label").and_then(Json::as_str) == Some(pctl))
-        .ok_or_else(|| format!("percentile {pctl:?} missing on entry {label:?}"))?
-        .path(&format!("shares.{sub}"))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("share {sub:?} missing on {label:?} {pctl}"))
+/// One gated quantity: how to derive it from a report, and its band.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateRow {
+    pub name: String,
+    pub expr: Expr,
+    pub better: Better,
+    pub tol: Tolerance,
+    /// Acceptance-criterion floor (in the metric's own unit, with
+    /// [`Better`] orientation; a ceiling when lower is better): a fresh
+    /// value on the wrong side fails the gate even if it matches the
+    /// baseline.
+    pub floor: Option<f64>,
 }
 
-fn metric(name: &str, value: f64, better: Better, tol: Tolerance) -> MetricValue {
-    MetricValue {
-        name: name.to_string(),
-        value,
-        better,
-        tol,
-        floor: None,
-    }
+/// One gated quantity evaluated on a report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetricValue {
+    pub name: String,
+    pub value: f64,
+    pub better: Better,
+    pub tol: Tolerance,
+    pub floor: Option<f64>,
 }
 
-/// Extract the gated metrics from a parsed report, keyed by the baseline
-/// file's stem (`"BENCH_put_get"`, ...). Unknown stems gate nothing.
-pub fn extract_metrics(stem: &str, report: &Json) -> Result<Vec<MetricValue>, String> {
-    let mut out = Vec::new();
-    match stem {
-        "BENCH_put_get" => {
-            out.push(metric(
-                "update_only_256B_mops",
-                field(report, "Update-only/256B", "mops")?,
-                Better::Higher,
-                Tolerance::Rel(REL_TOL),
-            ));
-            out.push(metric(
-                "ycsb_a_256B_p99_ns",
-                field(report, "YCSB-A 50%GET/256B", "all.p99_ns")?,
-                Better::Lower,
-                Tolerance::Rel(REL_TOL),
-            ));
-            out.push(metric(
-                "ycsb_c_256B_mops",
-                field(report, "YCSB-C 100%GET/256B", "mops")?,
-                Better::Higher,
-                Tolerance::Rel(REL_TOL),
-            ));
+impl Val {
+    /// The entry label this value is read from.
+    pub fn label(&self) -> &str {
+        match self {
+            Val::Field(l, _) | Val::Counter(l, _) | Val::PutMops(l) | Val::TailShare(l, _) => l,
         }
-        "BENCH_repl" => {
-            for mix in ["Update-only", "YCSB-A 50%GET"] {
-                let base = field(report, &format!("{mix}/256B/replicas0"), "mops")?;
-                let repl = field(report, &format!("{mix}/256B/replicas1"), "mops")?;
-                let overhead_pct = (base - repl) / base * 100.0;
-                let tag = if mix == "Update-only" {
-                    "update_only"
-                } else {
-                    "ycsb_a"
+    }
+
+    fn eval(&self, report: &Json) -> Result<f64, String> {
+        let label = self.label();
+        let entry = report
+            .entry(label)
+            .ok_or_else(|| format!("entry {label:?} missing"))?;
+        let num = |path: &str| {
+            entry
+                .path(path)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("field {path:?} missing on entry {label:?}"))
+        };
+        match self {
+            Val::Field(_, path) => num(path),
+            Val::Counter(_, name) => entry
+                .get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("counter {name:?} missing on entry {label:?}")),
+            Val::PutMops(_) => Ok(num("put.count")? / num("elapsed_ns")? * 1e3),
+            Val::TailShare(_, sub) => {
+                let Some(Json::Arr(rows)) = entry.path("breakdown.percentiles") else {
+                    return Err(format!("breakdown.percentiles missing on entry {label:?}"));
                 };
-                out.push(metric(
-                    &format!("repl_overhead_{tag}_pct"),
-                    overhead_pct,
-                    Better::Lower,
-                    Tolerance::Abs(ABS_TOL_PCT),
-                ));
+                rows.iter()
+                    .find(|r| r.get("label").and_then(Json::as_str) == Some("p999"))
+                    .ok_or_else(|| format!("percentile \"p999\" missing on entry {label:?}"))?
+                    .path(&format!("shares.{sub}"))
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| format!("share {sub:?} missing on {label:?} p999"))
             }
         }
-        "BENCH_pipeline" => {
-            let w1 = field(report, "Update-only/256B/window1", "mops")?;
-            let w16 = field(report, "Update-only/256B/window16", "mops")?;
-            out.push(metric(
-                "pipeline_window1_mops",
-                w1,
-                Better::Higher,
-                Tolerance::Rel(REL_TOL),
-            ));
-            // Acceptance criterion from the PR that introduced the
-            // pipelined client: window=16 must hold ≥ 2× window=1.
-            let mut speedup = metric(
-                "pipeline_window16_speedup",
-                w16 / w1,
-                Better::Higher,
-                Tolerance::Rel(REL_TOL),
-            );
-            speedup.floor = Some(2.0);
-            out.push(speedup);
-            out.push(metric(
-                "loc_cache_ycsb_c_mops",
-                field(report, "YCSB-C/256B/loc_cache1", "mops")?,
-                Better::Higher,
-                Tolerance::Rel(REL_TOL),
-            ));
-        }
-        "BENCH_breakdown" => {
-            // Which subsystem owns the tail, per mix: each lane's share of
-            // the p99.9 cohort's latency is gated on an absolute band, so
-            // attribution drift is caught even when totals stay in band.
-            for (label, tag) in [
-                ("Update-only/256B", "update_only"),
-                ("YCSB-A 50%GET/256B", "ycsb_a"),
-            ] {
-                for sub in BREAKDOWN_SUBS {
-                    out.push(metric(
-                        &format!("{tag}_p999_{sub}_share_pct"),
-                        tail_share(report, label, "p999", sub)?,
-                        Better::Lower,
-                        Tolerance::Abs(TAIL_SHARE_TOL_PP),
-                    ));
-                }
-            }
-        }
-        "BENCH_txn" => {
-            let upd = field(report, "Update-only/256B/snap_readers0", "mops")?;
-            let txn = field(report, "Txn-only/256B", "mops")?;
-            out.push(metric(
-                "txn_only_mops",
-                txn,
-                Better::Higher,
-                Tolerance::Rel(REL_TOL),
-            ));
-            // Acceptance criterion from the transaction PR: 4-key atomic
-            // batches hold per-key throughput within 25% of singleton
-            // Update-only PUTs (Txn-only records one sample per key, so
-            // both mops figures are per-key).
-            let mut overhead = metric(
-                "txn_overhead_pct",
-                (upd - txn) / upd * 100.0,
-                Better::Lower,
-                Tolerance::Abs(ABS_TOL_PCT),
-            );
-            overhead.floor = Some(25.0);
-            out.push(overhead);
-            // Snapshot readers must not block writers: the writer-only
-            // throughput (PUT samples over the window — the background
-            // readers' ops are excluded) with 2 snapshot readers stays
-            // within 5% of the reader-free run.
-            let put_mops = |label: &str| -> Result<f64, String> {
-                let puts = field(report, label, "put.count")?;
-                let elapsed = field(report, label, "elapsed_ns")?;
-                Ok(puts / elapsed * 1e3)
-            };
-            let base = put_mops("Update-only/256B/snap_readers0")?;
-            let with = put_mops("Update-only/256B/snap_readers2")?;
-            let mut interference = metric(
-                "snap_interference_pct",
-                (base - with) / base * 100.0,
-                Better::Lower,
-                Tolerance::Abs(ABS_TOL_PCT),
-            );
-            interference.floor = Some(5.0);
-            out.push(interference);
-            out.push(metric(
-                "ycsb_t_mops",
-                field(report, "YCSB-T/256B", "mops")?,
-                Better::Higher,
-                Tolerance::Rel(REL_TOL),
-            ));
-        }
-        "BENCH_cluster" => {
-            for (label, tag) in [
-                ("Cluster/256B/nodes2", "cluster_nodes2_mops"),
-                ("Cluster/256B/nodes4", "cluster_nodes4_mops"),
-                ("Cluster/256B/nodes2/migrate", "cluster_migrate_mops"),
-            ] {
-                out.push(metric(
-                    tag,
-                    field(report, label, "mops")?,
-                    Better::Higher,
-                    Tolerance::Rel(REL_TOL),
-                ));
-            }
-            // Acceptance criterion from the cluster PR: a live migration
-            // fired mid-window inflates client p99.9 by at most
-            // MIGRATE_P999_CEILING_X over the quiescent run — the hard
-            // ceiling holds even when a (stale) baseline is already past
-            // it.
-            let quiet = field(report, "Cluster/256B/nodes2", "all.p999_ns")?;
-            let migrated = field(report, "Cluster/256B/nodes2/migrate", "all.p999_ns")?;
-            let mut inflation = metric(
-                "migrate_p999_inflation_x",
-                migrated / quiet.max(1.0),
-                Better::Lower,
-                Tolerance::Rel(REL_TOL),
-            );
-            inflation.floor = Some(MIGRATE_P999_CEILING_X);
-            out.push(inflation);
-        }
-        "BENCH_cleaning" => {
-            // Steady-state cleaning pressure: update throughput with the
-            // cleaner running passes through the measured window, and the
-            // same with a pass additionally forced at the window start.
-            out.push(metric(
-                "cleaning_update_mops",
-                field(report, "Update-only/256B/clean", "mops")?,
-                Better::Higher,
-                Tolerance::Rel(REL_TOL),
-            ));
-            out.push(metric(
-                "cleaning_forced_mops",
-                field(report, "Update-only/256B/forced", "mops")?,
-                Better::Higher,
-                Tolerance::Rel(REL_TOL),
-            ));
-            // Acceptance criterion from the cleaning-robustness PR: a put
-            // stuck behind a pass is *bounded* backpressure — p99.9 may
-            // inflate by at most CLEAN_P999_CEILING_X over the single-pool
-            // baseline, even when the committed baseline is already past
-            // the band.
-            let quiet = field(report, "Update-only/256B/noclean", "put.p999_ns")?;
-            let cleaned = field(report, "Update-only/256B/clean", "put.p999_ns")?;
-            let mut inflation = metric(
-                "cleaning_p999_inflation_x",
-                cleaned / quiet.max(1.0),
-                Better::Lower,
-                Tolerance::Rel(REL_TOL),
-            );
-            inflation.floor = Some(CLEAN_P999_CEILING_X);
-            out.push(inflation);
-            // Relocation write amplification: bytes-moved pressure per
-            // client put. Rising amplification means the cleaner is
-            // re-copying more than the churn justifies (e.g. stale
-            // duplicates surviving a pass).
-            let relocated = counter_field(report, "Update-only/256B/clean", "server.relocated")?;
-            let puts = counter_field(report, "Update-only/256B/clean", "server.puts")?;
-            out.push(metric(
-                "cleaning_write_amp",
-                relocated / puts.max(1.0),
-                Better::Lower,
-                Tolerance::Rel(REL_TOL),
-            ));
-        }
-        "BENCH_sim" => {
-            // Event volume per sweep point: deterministic (seed + spec →
-            // exact event count, identical across executors and hosts),
-            // so the ordinary ±10% band applies. Drift here means the
-            // workload→event mapping changed, which re-scales every
-            // wall-clock number in this report.
-            for (label, tag) in [
-                ("Sim/4K/32", "sim_events_4k_c32"),
-                ("Sim/4K/1K", "sim_events_4k_c1k"),
-                ("Sim/100K/32", "sim_events_100k_c32"),
-                ("Sim/100K/1K", "sim_events_100k_c1k"),
-                ("Sim/1M/32", "sim_events_1m_c32"),
-                ("Sim/1M/1K", "sim_events_1m_c1k"),
-            ] {
-                out.push(metric(
-                    tag,
-                    field(report, label, "events_dispatched")?,
-                    Better::Lower,
-                    Tolerance::Rel(REL_TOL),
-                ));
-            }
-            // Wall-clock lanes: floor-only (see FLOOR_ONLY). The absolute
-            // events/second floor catches a wedged executor; the same-host
-            // fiber-vs-thread ratio locks the executor swap's win in.
-            let mut eps = metric(
-                "sim_eps_1m_c32",
-                field(report, "Sim/1M/32", "events_per_wall_sec")?,
-                Better::Higher,
-                FLOOR_ONLY,
-            );
-            eps.floor = Some(SIM_EPS_FLOOR);
-            out.push(eps);
-            let fiber = field(report, "Sim/1M/32", "events_per_wall_sec")?;
-            let thread = field(report, "Sim/1M/32/thread", "events_per_wall_sec")?;
-            let mut speedup = metric(
-                "sim_fiber_speedup_1m",
-                fiber / thread.max(1.0),
-                Better::Higher,
-                FLOOR_ONLY,
-            );
-            speedup.floor = Some(SIM_SPEEDUP_FLOOR);
-            out.push(speedup);
-        }
-        _ => {}
     }
-    Ok(out)
+}
+
+impl fmt::Display for Val {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Val::Field(l, path) => write!(f, "`{path}` of `{l}`"),
+            Val::Counter(l, name) => write!(f, "counter `{name}` of `{l}`"),
+            Val::PutMops(l) => write!(f, "PUT-only Mops of `{l}`"),
+            Val::TailShare(l, sub) => write!(f, "`{sub}` p99.9 share of `{l}`"),
+        }
+    }
+}
+
+impl Expr {
+    fn eval(&self, report: &Json) -> Result<f64, String> {
+        Ok(match self {
+            Expr::Val(v) => v.eval(report)?,
+            Expr::Ratio(a, b) => {
+                let den = b.eval(report)?;
+                a.eval(report)? / if den == 0.0 { 1.0 } else { den }
+            }
+            Expr::PctDrop(a, b) => {
+                let base = a.eval(report)?;
+                (base - b.eval(report)?) / base * 100.0
+            }
+        })
+    }
+}
+
+impl From<Val> for Expr {
+    fn from(v: Val) -> Expr {
+        Expr::Val(v)
+    }
+}
+
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expr::Val(v) => write!(f, "{v}"),
+            Expr::Ratio(a, b) => write!(f, "{a} ÷ {b}"),
+            Expr::PctDrop(a, b) => write!(f, "% drop from {a} to {b}"),
+        }
+    }
+}
+
+impl GateRow {
+    /// Evaluate the row on a parsed report.
+    pub fn eval(&self, report: &Json) -> Result<MetricValue, String> {
+        Ok(MetricValue {
+            name: self.name.clone(),
+            value: self.expr.eval(report)?,
+            better: self.better,
+            tol: self.tol,
+            floor: self.floor,
+        })
+    }
+
+    /// The band as the gate docs print it.
+    pub fn band(&self) -> String {
+        let band = match self.tol {
+            Tolerance::Rel(t) if t.is_infinite() => "none (wall-clock)".to_string(),
+            Tolerance::Rel(t) => format!("±{:.0}%", t * 100.0),
+            Tolerance::Abs(t) => format!("±{t} (absolute)"),
+        };
+        match (self.floor, self.better) {
+            (None, _) => band,
+            (Some(x), Better::Higher) => format!("{band}, ≥ {x} floor"),
+            (Some(x), Better::Lower) => format!("{band}, ≤ {x} ceiling"),
+        }
+    }
+}
+
+/// Evaluate every row on a report; any row that cannot be evaluated (a
+/// lane or field gone from the report) is an error, not a silent pass.
+pub fn extract(rows: &[GateRow], report: &Json) -> Result<Vec<MetricValue>, String> {
+    rows.iter().map(|r| r.eval(report)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -765,6 +610,15 @@ pub fn diff_json(rows: &[Comparison]) -> String {
 mod tests {
     use super::*;
 
+    /// The gate rows of one baseline of the table.
+    fn gate_rows(name: &str) -> Vec<GateRow> {
+        crate::lanes::table()
+            .into_iter()
+            .find(|b| b.name == name)
+            .unwrap()
+            .gate
+    }
+
     #[test]
     fn json_reader_round_trips_report_shapes() {
         let doc = r#"{"schema":"efactory-run-report/v1","entries":[
@@ -798,8 +652,8 @@ mod tests {
     fn synthetic_20pct_regression_fails_the_gate() {
         // The contract this module exists for: a 20% throughput loss (or a
         // 20% p99 blowup) on a key metric must produce a failing verdict.
-        let baseline = extract_metrics("BENCH_put_get", &report(1.0, 1000.0, 2.0)).unwrap();
-        let slow_puts = extract_metrics("BENCH_put_get", &report(0.8, 1000.0, 2.0)).unwrap();
+        let baseline = extract(&gate_rows("put_get"), &report(1.0, 1000.0, 2.0)).unwrap();
+        let slow_puts = extract(&gate_rows("put_get"), &report(0.8, 1000.0, 2.0)).unwrap();
         let rows = compare_all(&baseline, &slow_puts);
         let row = rows
             .iter()
@@ -809,7 +663,7 @@ mod tests {
         assert!(rows.iter().any(|r| r.verdict.failing()));
         assert!(!diff_json(&rows).contains("\"pass\":true"));
 
-        let slow_tail = extract_metrics("BENCH_put_get", &report(1.0, 1200.0, 2.0)).unwrap();
+        let slow_tail = extract(&gate_rows("put_get"), &report(1.0, 1200.0, 2.0)).unwrap();
         let rows = compare_all(&baseline, &slow_tail);
         let row = rows
             .iter()
@@ -820,15 +674,15 @@ mod tests {
 
     #[test]
     fn within_band_passes_and_big_gain_flags_stale_baseline() {
-        let baseline = extract_metrics("BENCH_put_get", &report(1.0, 1000.0, 2.0)).unwrap();
+        let baseline = extract(&gate_rows("put_get"), &report(1.0, 1000.0, 2.0)).unwrap();
         // ±10% band: a 5% dip and a 9% p99 gain both pass.
-        let wobble = extract_metrics("BENCH_put_get", &report(0.95, 910.0, 2.0)).unwrap();
+        let wobble = extract(&gate_rows("put_get"), &report(0.95, 910.0, 2.0)).unwrap();
         let rows = compare_all(&baseline, &wobble);
         assert!(rows.iter().all(|r| !r.verdict.failing()), "{rows:?}");
         assert!(diff_json(&rows).contains("\"pass\":true"));
         // A 50% gain means the committed baseline no longer describes the
         // code — that fails too, pointing at a refresh.
-        let faster = extract_metrics("BENCH_put_get", &report(1.5, 1000.0, 2.0)).unwrap();
+        let faster = extract(&gate_rows("put_get"), &report(1.5, 1000.0, 2.0)).unwrap();
         let rows = compare_all(&baseline, &faster);
         let row = rows
             .iter()
@@ -847,7 +701,7 @@ mod tests {
                     {{"label":"YCSB-A 50%GET/256B/replicas0","mops":{base}}},
                     {{"label":"YCSB-A 50%GET/256B/replicas1","mops":{repl}}}]}}"#
             );
-            extract_metrics("BENCH_repl", &Json::parse(&doc).unwrap()).unwrap()
+            extract(&gate_rows("repl"), &Json::parse(&doc).unwrap()).unwrap()
         };
         // Baseline overhead 0%: a relative band would reject any change;
         // the absolute ±2pp band accepts 1.5pp and rejects 8pp.
@@ -868,7 +722,7 @@ mod tests {
                     {{"label":"Update-only/256B/window16","mops":{w16}}},
                     {{"label":"YCSB-C/256B/loc_cache1","mops":3.0}}]}}"#
             );
-            extract_metrics("BENCH_pipeline", &Json::parse(&doc).unwrap()).unwrap()
+            extract(&gate_rows("pipeline"), &Json::parse(&doc).unwrap()).unwrap()
         };
         // Baseline itself at 1.9× would let a matching fresh run slide on
         // tolerance alone; the acceptance floor still fails it.
@@ -896,7 +750,7 @@ mod tests {
                       "put":{{"count":{with_puts}}},"elapsed_ns":1000000}},
                     {{"label":"YCSB-T/256B","mops":1.0}}]}}"#
             );
-            extract_metrics("BENCH_txn", &Json::parse(&doc).unwrap()).unwrap()
+            extract(&gate_rows("txn"), &Json::parse(&doc).unwrap()).unwrap()
         };
         // In-band: 20% commit overhead, 3% reader interference.
         let good = txn(1.0, 0.8, 1000, 970);
@@ -932,7 +786,7 @@ mod tests {
                     {{"label":"Cluster/256B/nodes2/migrate","mops":{mops2},
                       "all":{{"p999_ns":{mig_p999}}}}}]}}"#
             );
-            extract_metrics("BENCH_cluster", &Json::parse(&doc).unwrap()).unwrap()
+            extract(&gate_rows("cluster"), &Json::parse(&doc).unwrap()).unwrap()
         };
         // In-ceiling: a 2× tail inflation under migration passes.
         let good = clu(1.0, 10_000, 20_000);
@@ -973,7 +827,7 @@ mod tests {
                 row(server, nic),
                 row(server, nic),
             );
-            extract_metrics("BENCH_breakdown", &Json::parse(&doc).unwrap()).unwrap()
+            extract(&gate_rows("breakdown"), &Json::parse(&doc).unwrap()).unwrap()
         };
         let baseline = breakdown(60.0, 30.0);
         assert_eq!(baseline.len(), 14, "7 lanes × 2 mixes");
@@ -995,7 +849,7 @@ mod tests {
         // A percentile row going missing is a load error, not a pass.
         let half =
             Json::parse(r#"{"entries":[{"label":"Update-only/256B","breakdown":{}}]}"#).unwrap();
-        assert!(extract_metrics("BENCH_breakdown", &half).is_err());
+        assert!(extract(&gate_rows("breakdown"), &half).is_err());
     }
 
     #[test]
@@ -1017,7 +871,7 @@ mod tests {
                     {{"label":"Sim/1M/32/thread","events_dispatched":{events_1m},
                       "events_per_wall_sec":{thread_eps}}}]}}"#
             );
-            extract_metrics("BENCH_sim", &Json::parse(&doc).unwrap()).unwrap()
+            extract(&gate_rows("sim"), &Json::parse(&doc).unwrap()).unwrap()
         };
         // Wall-clock lanes carry no drift band: halved (or tripled)
         // events/second on a slower host still passes as long as the
@@ -1048,19 +902,13 @@ mod tests {
 
     #[test]
     fn missing_metrics_fail() {
-        let baseline = extract_metrics("BENCH_put_get", &report(1.0, 1000.0, 2.0)).unwrap();
+        let baseline = extract(&gate_rows("put_get"), &report(1.0, 1000.0, 2.0)).unwrap();
         let rows = compare_all(&baseline, &[]);
         assert!(rows.iter().all(|r| r.verdict == Verdict::Missing));
         assert!(rows.iter().any(|r| r.verdict.failing()));
         // And an entry disappearing from the report is a load error, not a
         // silent pass.
         let half = Json::parse(r#"{"entries":[{"label":"Update-only/256B","mops":1.0}]}"#).unwrap();
-        assert!(extract_metrics("BENCH_put_get", &half).is_err());
-    }
-
-    #[test]
-    fn unknown_stem_gates_nothing() {
-        let v = Json::parse(r#"{"entries":[]}"#).unwrap();
-        assert!(extract_metrics("BENCH_other", &v).unwrap().is_empty());
+        assert!(extract(&gate_rows("put_get"), &half).is_err());
     }
 }

@@ -1,17 +1,20 @@
 //! # efactory-bench — benchmark harness
 //!
-//! Two families of targets:
+//! Three kinds of targets:
 //!
-//! * **Per-figure binaries** (`src/bin/fig*.rs`) regenerate every table and
-//!   figure of the paper's evaluation section. Run e.g.
-//!   `cargo run --release -p efactory-bench --bin fig9`. Results are
-//!   deterministic (virtual-time measurement on a seeded simulator).
-//! * **Criterion micro-benchmarks** (`benches/`) cover the substrates:
-//!   checksum throughput, pmem flush/crash, fabric verbs, hash table, and
-//!   per-system single-op latencies.
+//! * **Per-figure binaries** (`src/bin/fig*.rs`, `summary`, `ablations`)
+//!   regenerate every table and figure of the paper's evaluation section.
+//!   Run e.g. `cargo run --release -p efactory-bench --bin fig9`. Results
+//!   are deterministic (virtual-time measurement on a seeded simulator).
+//! * **`run <baseline|all> [--json-dir DIR]`** regenerates the committed
+//!   `BENCH_*.json` baselines. Each baseline is one entry of the table in
+//!   [`lanes`]: its labelled runs and the gate rows read off them.
+//! * **`bench_gate`** evaluates the same table's gate rows on the committed
+//!   and on fresh reports and fails on drift ([`gate`]).
 //!
 //! The `EF_OPS_SCALE` environment variable scales the per-client operation
-//! counts of the figure binaries (default 1.0; smaller = faster, noisier).
+//! counts (default 1.0; smaller = faster, noisier). Committed baselines are
+//! full-scale runs.
 
 use efactory_harness::{
     json_path_from_args, ExperimentSpec, LatencyStats, Report, RunResult, SystemKind,
@@ -19,6 +22,7 @@ use efactory_harness::{
 use efactory_ycsb::Mix;
 
 pub mod gate;
+pub mod lanes;
 
 /// The value sizes the paper sweeps in Figures 1, 2, and 9.
 pub const VALUE_SIZES: [usize; 4] = [64, 256, 1024, 4096];
@@ -53,15 +57,7 @@ impl ReportSink {
     /// Sink for `figure`, enabled iff `--json <path>` is on the command
     /// line.
     pub fn from_args(figure: &str) -> ReportSink {
-        ReportSink::with_default_path(figure, None)
-    }
-
-    /// Like [`ReportSink::from_args`], but falls back to `default_path`
-    /// when no `--json` flag is given (perf-trajectory binaries that should
-    /// always emit).
-    pub fn with_default_path(figure: &str, default_path: Option<&str>) -> ReportSink {
-        let path =
-            json_path_from_args(std::env::args()).or_else(|| default_path.map(str::to_string));
+        let path = json_path_from_args(std::env::args());
         // Reject a valueless `--json` before the benchmark runs, not at
         // write time minutes later.
         if path.as_deref() == Some("") {

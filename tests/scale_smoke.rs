@@ -6,7 +6,7 @@
 //! the claim stays true. The budget is deliberately loose — an order of
 //! magnitude over the expected wall time on a cold CI runner — because
 //! its job is to catch an executor that wedged or went quadratic, not to
-//! track throughput (the `sim_throughput` bench gate does that with
+//! track throughput (the `sim` bench baseline's gate rows do that with
 //! committed baselines and hard floors). A wedged run fails here in
 //! minutes instead of eating the whole job timeout.
 
